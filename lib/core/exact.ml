@@ -10,172 +10,45 @@ type outcome = {
 
 let total_mj o = o.phase1_mj +. o.phase2_mj
 
-let take = Exec.take_prefix
-
-(* Range bounds are optional (origin, value) pairs compared with the global
-   value order; [None] means unbounded on that side.  A value [v] lies in
-   (lo, hi) iff it ranks strictly below [hi] and strictly above [lo] —
-   where "above" means earlier under {!Exec.value_order}. *)
-let in_range ~lo ~hi v =
-  (match hi with None -> true | Some h -> Exec.value_order h v < 0)
-  && match lo with None -> true | Some l -> Exec.value_order v l < 0
-
 let run topo cost mica plan ~k ~readings =
+  Protocol.check_inputs "Exact.run" topo ~k ~readings;
   let phase1 = Proof_exec.run topo cost plan ~k ~readings in
   let states = phase1.Proof_exec.states in
-  let root = topo.Sensor.Topology.root in
+  let children u = topo.Sensor.Topology.children.(u) in
+  let finished c = states.(c).Proof_exec.sent_all in
   let phase2_mj = ref 0. and phase2_msgs = ref 0 and phase2_vals = ref 0 in
-  (* Request payload: a count and two range bounds. *)
-  let request_bytes = (2 * mica.Sensor.Mica2.bytes_per_value) + 2 in
-  (* answer_request u c lo hi: the true top [c] values of subtree(u) lying
-     strictly inside (lo, hi), best first.  Sound because:
-     - every subtree value ranking above min(proven(u)) is already in
-       retrieved(u) (Lemma 1), and
-     - children are asked for their top [c'] below that threshold, which
-       covers anything retrieved(u) is missing. *)
-  let rec answer_request u c ~lo ~hi =
-    if c <= 0 then []
-    else begin
-      let st = states.(u) in
-      let known_in_range =
-        List.filter (in_range ~lo ~hi) st.Proof_exec.retrieved
-      in
-      let proven_in_range =
-        List.filter (in_range ~lo ~hi) st.Proof_exec.proven
-      in
-      (* Knowledge below the smallest proven value may be incomplete. *)
-      let pmin =
-        match List.rev st.Proof_exec.proven with [] -> None | last :: _ -> Some last
-      in
-      (* If c values in range are proven, everything ranking above the c-th
-         of them is known (Lemma 1), so the answer is already in memory. *)
-      if List.length proven_in_range >= c then take c known_in_range
-      else begin
-        (* Narrow the forwarded range:
-           - nothing above min(proven) is needed (it is already known);
-           - nothing at or below the c-th known in-range value can make
-             the top c (u already holds c better candidates). *)
-        let hi' =
-          match (hi, pmin) with
-          | None, p -> p
-          | h, None -> h
-          | Some h, Some p -> if Exec.value_order h p < 0 then Some p else Some h
-        in
-        let lo' =
-          match List.nth_opt known_in_range (c - 1) with
-          | None -> lo
-          | Some w -> (
-              match lo with
-              | None -> Some w
-              | Some l -> if Exec.value_order w l < 0 then Some w else Some l)
-        in
-        let range_empty =
-          match (lo', hi') with
-          | Some l, Some h -> Exec.value_order h l >= 0
-          | _ -> false
-        in
-        let targets =
-          if range_empty then []
-          else
-            Array.to_list topo.Sensor.Topology.children.(u)
-            |> List.filter (fun ch -> not states.(ch).Proof_exec.sent_all)
-        in
-        let gathered =
-          if targets = [] then []
-          else begin
-            (* One request broadcast, one response unicast per child. *)
+  let rec answer u req =
+    Protocol.merge states.(u) req
+      (gather (Protocol.mop_up states.(u) req ~children:(children u) ~finished))
+  (* One request broadcast to the targets, then each target's answer is
+     computed recursively and charged as one response unicast. *)
+  and gather = function
+    | None -> []
+    | Some (targets, fwd) ->
+        phase2_mj :=
+          !phase2_mj
+          +. Sensor.Mica2.broadcast_mj mica ~receivers:(List.length targets)
+               ~bytes:(Protocol.payload_bytes mica (Protocol.Range fwd));
+        incr phase2_msgs;
+        List.concat_map
+          (fun ch ->
+            let sub = answer ch fwd in
+            let count = List.length sub in
             phase2_mj :=
-              !phase2_mj
-              +. Sensor.Mica2.broadcast_mj mica ~receivers:(List.length targets)
-                   ~bytes:request_bytes;
+              !phase2_mj +. Sensor.Cost.message_mj cost ~node:ch ~values:count;
             incr phase2_msgs;
-            List.concat_map
-              (fun ch ->
-                let sub = answer_request ch c ~lo:lo' ~hi:hi' in
-                let count = List.length sub in
-                phase2_mj :=
-                  !phase2_mj +. Sensor.Cost.message_mj cost ~node:ch ~values:count;
-                incr phase2_msgs;
-                phase2_vals := !phase2_vals + count;
-                sub)
-              targets
-          end
-        in
-        (* Merge: origins are unique network-wide, so dedup by origin. *)
-        let seen = Hashtbl.create 16 in
-        let merged =
-          List.filter
-            (fun (i, _) ->
-              if Hashtbl.mem seen i then false
-              else begin
-                Hashtbl.replace seen i ();
-                true
-              end)
-            (List.sort Exec.value_order (known_in_range @ gathered))
-        in
-        take c merged
-      end
-    end
+            phase2_vals := !phase2_vals + count;
+            sub)
+          targets
   in
-  let answer =
-    if phase1.Proof_exec.proven_count >= k then phase1.Proof_exec.result
-    else begin
-      let root_state = states.(root) in
-      let pmin =
-        match List.rev root_state.Proof_exec.proven with
-        | [] -> None
-        | last :: _ -> Some last
-      in
-      (* Any new answer value must beat the current k-th candidate. *)
-      let lo = List.nth_opt root_state.Proof_exec.retrieved (k - 1) in
-      let missing = k - phase1.Proof_exec.proven_count in
-      let range_empty =
-        match (lo, pmin) with
-        | Some l, Some h -> Exec.value_order h l >= 0
-        | _ -> false
-      in
-      let targets =
-        if range_empty then []
-        else
-          Array.to_list topo.Sensor.Topology.children.(root)
-          |> List.filter (fun ch -> not states.(ch).Proof_exec.sent_all)
-      in
-      let gathered =
-        if targets = [] then []
-        else begin
-          phase2_mj :=
-            !phase2_mj
-            +. Sensor.Mica2.broadcast_mj mica ~receivers:(List.length targets)
-                 ~bytes:request_bytes;
-          incr phase2_msgs;
-          List.concat_map
-            (fun ch ->
-              let sub = answer_request ch missing ~lo ~hi:pmin in
-              let count = List.length sub in
-              phase2_mj :=
-                !phase2_mj +. Sensor.Cost.message_mj cost ~node:ch ~values:count;
-              incr phase2_msgs;
-              phase2_vals := !phase2_vals + count;
-              sub)
-            targets
-        end
-      in
-      let seen = Hashtbl.create 16 in
-      let merged =
-        List.filter
-          (fun (i, _) ->
-            if Hashtbl.mem seen i then false
-            else begin
-              Hashtbl.replace seen i ();
-              true
-            end)
-          (List.sort Exec.value_order (root_state.Proof_exec.retrieved @ gathered))
-      in
-      take k merged
-    end
+  let root = topo.Sensor.Topology.root in
+  let gathered =
+    gather
+      (Protocol.open_mop_up states.(root) ~k ~children:(children root)
+         ~finished)
   in
   {
-    answer;
+    answer = Protocol.merge states.(root) (Protocol.root_request ~k) gathered;
     proven_after_phase1 = phase1.Proof_exec.proven_count;
     phase1_mj = phase1.Proof_exec.collection_mj;
     phase2_mj = !phase2_mj;

@@ -10,7 +10,9 @@
     their whole subtree in phase 1 are never re-contacted.
 
     The answer is always the exact top k — the plan (and the samples
-    behind it) only affect cost, never correctness. *)
+    behind it) only affect cost, never correctness.  Each node's part is
+    {!Protocol.mop_up} and {!Protocol.merge}, run here by recursion and in
+    {!Simnet_protocols.exact} as message handlers. *)
 
 type outcome = {
   answer : (int * float) list;  (** the exact top k, best first *)

@@ -5,39 +5,29 @@ type outcome = {
   values_sent : int;
 }
 
-let value_order (i, x) (j, y) =
-  match Float.compare y x with 0 -> Int.compare i j | c -> c
-
-let take_prefix n xs =
-  let rec go n xs acc =
-    match (n, xs) with
-    | 0, _ | _, [] -> List.rev acc
-    | n, x :: rest -> go (n - 1) rest (x :: acc)
-  in
-  go n xs []
-
-let take = take_prefix
+let value_order = Protocol.value_order
+let take_prefix = Protocol.take_prefix
 
 let collect topo cost plan ~k ~readings =
-  if Array.length readings <> topo.Sensor.Topology.n then
-    invalid_arg "Exec.collect: readings length mismatch";
-  if k < 1 then invalid_arg "Exec.collect: k must be positive";
+  Protocol.check_inputs "Exec.collect" topo ~k ~readings;
   let root = topo.Sensor.Topology.root in
   (* outbox.(i): the sorted list node i sends to its parent. *)
   let outbox = Array.make topo.Sensor.Topology.n [] in
+  let received u =
+    Array.fold_left
+      (fun acc c -> List.rev_append outbox.(c) acc)
+      [] topo.Sensor.Topology.children.(u)
+  in
   let energy = ref 0. in
   let messages = ref 0 in
   let values_sent = ref 0 in
   Array.iter
     (fun u ->
       if u <> root && Plan.bandwidth plan u > 0 then begin
-        let received =
-          Array.fold_left
-            (fun acc c -> List.rev_append outbox.(c) acc)
-            [] topo.Sensor.Topology.children.(u)
+        let sent =
+          Protocol.filter ~own:(u, readings.(u)) ~received:(received u)
+            ~cap:(Plan.bandwidth plan u)
         in
-        let pool = List.sort value_order ((u, readings.(u)) :: received) in
-        let sent = take (Plan.bandwidth plan u) pool in
         outbox.(u) <- sent;
         let count = List.length sent in
         energy := !energy +. Sensor.Cost.message_mj cost ~node:u ~values:count;
@@ -45,15 +35,10 @@ let collect topo cost plan ~k ~readings =
         values_sent := !values_sent + count
       end)
     (Sensor.Topology.post_order topo);
-  let at_root =
-    Array.fold_left
-      (fun acc c -> List.rev_append outbox.(c) acc)
-      [ (root, readings.(root)) ]
-      topo.Sensor.Topology.children.(root)
-  in
-  let returned = take k (List.sort value_order at_root) in
   {
-    returned;
+    returned =
+      Protocol.filter ~own:(root, readings.(root)) ~received:(received root)
+        ~cap:k;
     collection_mj = !energy;
     messages = !messages;
     values_sent = !values_sent;
@@ -61,7 +46,7 @@ let collect topo cost plan ~k ~readings =
 
 let true_top_k ~k readings =
   let all = Array.to_list (Array.mapi (fun i v -> (i, v)) readings) in
-  take k (List.sort value_order all)
+  take_prefix k (List.sort value_order all)
 
 let accuracy ~k ~readings answer =
   let truth = true_top_k ~k readings in

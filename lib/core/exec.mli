@@ -5,8 +5,8 @@
     reading with its children's lists and forwards the top [bandwidth]
     values.  Energy is charged per actual message with the same constants
     the planners optimize against, so measured cost is directly comparable
-    to the planning budget.  A {!Simnet}-backed executor with identical
-    semantics lives in {!Simnet_exec}; the test suite checks they agree. *)
+    to the planning budget.  The per-node step is {!Protocol.filter}, which
+    {!Simnet_exec} also runs, as message handlers on the simulator. *)
 
 type outcome = {
   returned : (int * float) list;

@@ -1,126 +1,53 @@
-type outcome = {
+type outcome = Exec.outcome = {
   returned : (int * float) list;
   collection_mj : float;
   messages : int;
   values_sent : int;
 }
 
-let take = Exec.take_prefix
-
 let naive_k topo cost ~k ~readings =
-  if k < 1 then invalid_arg "Naive.naive_k: k must be positive";
-  let root = topo.Sensor.Topology.root in
-  let outbox = Array.make topo.Sensor.Topology.n [] in
-  let energy = ref 0. and messages = ref 0 and values_sent = ref 0 in
-  Array.iter
-    (fun u ->
-      let pool =
-        Array.fold_left
-          (fun acc c -> List.rev_append outbox.(c) acc)
-          [ (u, readings.(u)) ]
-          topo.Sensor.Topology.children.(u)
-      in
-      let top = take k (List.sort Exec.value_order pool) in
-      if u <> root then begin
-        outbox.(u) <- top;
-        let count = List.length top in
-        energy := !energy +. Sensor.Cost.message_mj cost ~node:u ~values:count;
-        incr messages;
-        values_sent := !values_sent + count
-      end
-      else outbox.(u) <- top)
-    (Sensor.Topology.post_order topo);
-  {
-    returned = outbox.(root);
-    collection_mj = !energy;
-    messages = !messages;
-    values_sent = !values_sent;
-  }
-
-(* NAIVE-1 state per node: a heap of candidate values, one per source (the
-   node itself and each non-exhausted child).  Refills are lazy — a missing
-   child entry is fetched when the next request arrives, exactly as in the
-   paper — so no value is ever pulled that the parent will not consume. *)
-type puller = {
-  mutable heap : (int * (int * float)) list;  (* (source, entry), sorted *)
-  mutable initialized : bool;
-  mutable done_children : int list;
-  mutable missing : int list;  (* children owing the heap an entry *)
-}
+  Protocol.check_inputs "Naive.naive_k" topo ~k ~readings;
+  let plan =
+    Plan.make topo (Array.map (Int.min k) topo.Sensor.Topology.subtree_size)
+  in
+  Exec.collect topo cost plan ~k ~readings
 
 let naive_one topo cost ~k ~readings =
-  if k < 1 then invalid_arg "Naive.naive_one: k must be positive";
-  let n = topo.Sensor.Topology.n in
-  let root = topo.Sensor.Topology.root in
-  let states =
-    Array.init n (fun _ ->
-        { heap = []; initialized = false; done_children = []; missing = [] })
+  Protocol.check_inputs "Naive.naive_one" topo ~k ~readings;
+  let pullers =
+    Array.init topo.Sensor.Topology.n (fun u ->
+        Protocol.puller ~own:(u, readings.(u))
+          ~children:topo.Sensor.Topology.children.(u))
   in
   let energy = ref 0. and messages = ref 0 and values_sent = ref 0 in
-  let charge_request child =
-    (* Parent asks [child] for its next value: an empty-body unicast down
-       the child's uplink edge. *)
-    energy := !energy +. Sensor.Cost.message_mj cost ~node:child ~values:0;
-    incr messages
-  in
-  let charge_response child has_value =
-    energy :=
-      !energy
-      +. Sensor.Cost.message_mj cost ~node:child
-           ~values:(if has_value then 1 else 0);
+  (* Both the pull and its answer travel the child's uplink edge. *)
+  let charge child msg =
+    let values = Protocol.values_carried msg in
+    energy := !energy +. Sensor.Cost.message_mj cost ~node:child ~values;
     incr messages;
-    if has_value then incr values_sent
+    values_sent := !values_sent + values
   in
-  let heap_insert st source entry =
-    st.heap <-
-      List.sort
-        (fun (_, a) (_, b) -> Exec.value_order a b)
-        ((source, entry) :: st.heap)
-  in
-  (* Produce the next largest value of subtree(u), or None when drained.
-     Communication is charged by the caller except for the recursive
-     request/response pairs charged here. *)
   let rec pull u =
-    let st = states.(u) in
-    if not st.initialized then begin
-      st.initialized <- true;
-      heap_insert st u (u, readings.(u));
-      st.missing <- Array.to_list topo.Sensor.Topology.children.(u)
-    end;
-    (* Ensure the heap holds one entry per non-exhausted child. *)
-    List.iter (fun c -> refill u c) st.missing;
-    st.missing <- [];
-    match st.heap with
-    | [] -> None
-    | (source, entry) :: rest ->
-        st.heap <- rest;
-        if source <> u then st.missing <- [ source ];
-        Some entry
-  and refill u child =
-    let st = states.(u) in
-    if not (List.mem child st.done_children) then begin
-      charge_request child;
-      match pull child with
-      | Some entry ->
-          charge_response child true;
-          heap_insert st child entry
-      | None ->
-          charge_response child false;
-          st.done_children <- child :: st.done_children
-    end
+    let st = pullers.(u) in
+    List.iter
+      (fun child ->
+        charge child Protocol.Pull;
+        let answer = pull child in
+        charge child (Protocol.Pulled answer);
+        Protocol.receive st ~src:child answer)
+      (Protocol.to_ask st);
+    Protocol.pop st
   in
-  let answer = ref [] in
-  let rec draw remaining =
-    if remaining > 0 then
-      match pull root with
-      | None -> ()
-      | Some entry ->
-          answer := entry :: !answer;
-          draw (remaining - 1)
+  let rec draw acc remaining =
+    if remaining = 0 then List.rev acc
+    else
+      match pull topo.Sensor.Topology.root with
+      | None -> List.rev acc
+      | Some entry -> draw (entry :: acc) (remaining - 1)
   in
-  draw k;
+  let returned = draw [] k in
   {
-    returned = List.rev !answer;
+    returned;
     collection_mj = !energy;
     messages = !messages;
     values_sent = !values_sent;
@@ -131,6 +58,7 @@ let flood_trigger_mj topo mica =
   Array.iter
     (fun u ->
       let kids = Array.length topo.Sensor.Topology.children.(u) in
-      if kids > 0 then acc := !acc +. Sensor.Mica2.trigger_mj mica ~receivers:kids)
+      if kids > 0 then
+        acc := !acc +. Sensor.Mica2.trigger_mj mica ~receivers:kids)
     topo.Sensor.Topology.bfs_order;
   !acc

@@ -5,9 +5,12 @@
     but most transmitted values are wasted.  NAIVE-1 pipelines: a node
     pulls values from its children one at a time through a local heap, so
     transmitted values are minimal but every value costs a request/response
-    message pair.  Both always return the exact answer. *)
+    message pair.  Both always return the exact answer.  NAIVE-k is
+    {!Exec.collect} on the plan giving every node bandwidth
+    [min k (subtree size)]; NAIVE-1 drives the {!Protocol} pull pipeline
+    by recursion. *)
 
-type outcome = {
+type outcome = Exec.outcome = {
   returned : (int * float) list;  (** exact top k, best first *)
   collection_mj : float;
   messages : int;

@@ -1,4 +1,4 @@
-type node_state = {
+type node_state = Protocol.kept = {
   retrieved : (int * float) list;
   sent : (int * float) list;
   proven : (int * float) list;
@@ -14,112 +14,42 @@ type outcome = {
   values_sent : int;
 }
 
-let take = Exec.take_prefix
-
-(* [v] ranks strictly above [w] in the global value order. *)
-let ranks_above v w = Exec.value_order v w < 0
-
 let min_bandwidth_plan topo =
   Plan.make topo (Array.make topo.Sensor.Topology.n 1)
 
-(* A value [v] (possibly the node's own) is proven at node [u] iff every
-   child subtree certifies that it holds nothing ranking above [v] that
-   [u] has not seen. *)
-let proven_at topo states ~origin_sets u v =
-  Array.for_all
-    (fun c ->
-      let st = states.(c) in
-      match st with
-      | None -> assert false
-      | Some st ->
-          let from_c = Hashtbl.mem origin_sets.(c) (fst v) in
-          (from_c && List.exists (fun w -> w = v) st.proven)
-          || List.exists (fun w -> ranks_above v w) st.proven
-          || st.sent_all)
-    topo.Sensor.Topology.children.(u)
-
 let run topo cost plan ~k ~readings =
-  if k < 1 then invalid_arg "Proof_exec.run: k must be positive";
-  let n = topo.Sensor.Topology.n in
+  Protocol.check_inputs "Proof_exec.run" topo ~k ~readings;
+  Protocol.check_every_edge topo plan
+    "Proof_exec.run: proof plans must use every edge";
   let root = topo.Sensor.Topology.root in
-  Array.iteri
-    (fun i _ ->
-      if i <> root && Plan.bandwidth plan i < 1 then
-        invalid_arg "Proof_exec.run: proof plans must use every edge")
-    readings;
-  let states = Array.make n None in
-  (* origin_sets.(u): node ids contained in subtree(u), for provenance. *)
-  let origin_sets = Array.init n (fun _ -> Hashtbl.create 8) in
-  Array.iter
-    (fun u ->
-      Hashtbl.replace origin_sets.(u) u ();
-      Array.iter
-        (fun c ->
-          (* Set union: insertion order cannot affect the resulting set. *)
-          (Hashtbl.iter [@lint.allow "R2"])
-            (fun i () -> Hashtbl.replace origin_sets.(u) i ())
-            origin_sets.(c))
-        topo.Sensor.Topology.children.(u))
-    (Sensor.Topology.post_order topo);
+  (* Post-order fills every child's state before its parent reads it. *)
+  let states =
+    Array.make topo.Sensor.Topology.n
+      { retrieved = []; sent = []; proven = []; sent_all = false }
+  in
   let energy = ref 0. and messages = ref 0 and values_sent = ref 0 in
   Array.iter
     (fun u ->
-      let received =
-        Array.fold_left
-          (fun acc c ->
-            match states.(c) with
-            | Some st -> List.rev_append st.sent acc
-            | None -> assert false)
-          [] topo.Sensor.Topology.children.(u)
+      let reports =
+        Array.to_list topo.Sensor.Topology.children.(u)
+        |> List.map (fun c -> (c, Protocol.report_of states.(c)))
       in
-      let retrieved =
-        List.sort Exec.value_order ((u, readings.(u)) :: received)
+      let st =
+        Protocol.prove ~own:(u, readings.(u)) ~reports
+          ~cap:(if u = root then k else Plan.bandwidth plan u)
+          ~subtree_size:topo.Sensor.Topology.subtree_size.(u)
       in
-      if u = root then begin
-        let result = take k retrieved in
-        let proven_flags =
-          List.map (proven_at topo states ~origin_sets u) result
-        in
-        let rec prefix_len = function
-          | true :: rest -> 1 + prefix_len rest
-          | [] | false :: _ -> 0
-        in
-        let proven_count = prefix_len proven_flags in
-        states.(u) <-
-          Some
-            {
-              retrieved;
-              sent = result;
-              proven = take proven_count result;
-              sent_all = false;
-            }
-      end
-      else begin
-        let sent = take (Plan.bandwidth plan u) retrieved in
-        let sent_all = List.length sent = topo.Sensor.Topology.subtree_size.(u) in
-        let proven_flags = List.map (proven_at topo states ~origin_sets u) sent in
-        let rec proven_prefix values flags =
-          match (values, flags) with
-          | v :: vs, true :: fs -> v :: proven_prefix vs fs
-          | _, _ -> []
-        in
-        let proven = proven_prefix sent proven_flags in
-        states.(u) <- Some { retrieved; sent; proven; sent_all };
-        let count = List.length sent in
+      states.(u) <- st;
+      if u <> root then begin
+        let count = List.length st.sent in
         energy := !energy +. Sensor.Cost.message_mj cost ~node:u ~values:count;
         incr messages;
         values_sent := !values_sent + count
       end)
     (Sensor.Topology.post_order topo);
-  let root_state =
-    match states.(root) with Some st -> st | None -> assert false
-  in
-  let states =
-    Array.map (function Some st -> st | None -> assert false) states
-  in
   {
-    result = root_state.sent;
-    proven_count = List.length root_state.proven;
+    result = states.(root).sent;
+    proven_count = List.length states.(root).proven;
     states;
     collection_mj = !energy;
     messages = !messages;

@@ -9,14 +9,17 @@
     proven by a node are exactly the top values of its subtree — the test
     suite checks this on random executions.
 
-    The per-node states are retained because the mop-up phase of
-    {!Exact} resumes from them. *)
+    This module drives {!Protocol.prove} over the tree in post-order; the
+    simulated {!Simnet_protocols.proof_collect} runs the same step as
+    message handlers.  The per-node states are retained because the mop-up
+    phase of {!Exact} resumes from them. *)
 
-type node_state = {
+type node_state = Protocol.kept = {
   retrieved : (int * float) list;
       (** everything the node saw: its reading + all values received,
           sorted by {!Exec.value_order} *)
-  sent : (int * float) list;  (** what it passed up (top [bandwidth]) *)
+  sent : (int * float) list;
+      (** what it passed up (top [bandwidth]); at the root, the answer *)
   proven : (int * float) list;  (** prefix of [sent] proven by this node *)
   sent_all : bool;  (** [sent] is the node's entire subtree *)
 }

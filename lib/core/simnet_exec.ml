@@ -11,32 +11,45 @@ type result = {
   gave_up_frames : int;
 }
 
-type msg = Trigger | Values of (int * float) list
+type run = {
+  engine : Protocol.msg Simnet.Engine.t;
+  latency_s : float;
+  dark : int list;
+  give_ups : (int * float) list;
+}
 
-let take = Exec.take_prefix
-
-(* Nodes cut off by a dead link are dark: the whole subtree under the
-   unreachable endpoint.  Collected in event order (deterministic per
-   seed), reported sorted and deduplicated. *)
-let darkness topo =
-  let acc = ref [] in
-  let mark node =
-    acc := List.rev_append (Sensor.Topology.descendants topo node) !acc
+let simulate topo mica ~failure ~fault ~policy ~start handle =
+  let engine =
+    Simnet.Engine.create topo mica ?failure ?fault ?policy
+      ~payload_bytes:(Protocol.payload_bytes mica) ()
   in
-  let get () = List.sort_uniq Int.compare !acc in
-  (mark, get)
+  (* Give-ups in event order (deterministic per seed): the unreachable
+     endpoint and the time its sender abandoned it.  The whole subtree
+     under that endpoint is dark. *)
+  let give_ups = ref [] and dark = ref [] in
+  for u = 0 to topo.Sensor.Topology.n - 1 do
+    Simnet.Engine.on_message engine ~node:u (fun api ~src msg ->
+        handle api u ~src msg);
+    (* Degradation: an unreachable child answers with silence and the
+       protocol proceeds without it; an unreachable parent orphans this
+       node's whole branch. *)
+    Simnet.Engine.on_give_up engine ~node:u (fun api ~dst msg ->
+        give_ups := (dst, api.Simnet.Engine.time ()) :: !give_ups;
+        dark := List.rev_append (Sensor.Topology.descendants topo dst) !dark;
+        Option.iter (handle api u ~src:dst) (Protocol.silence msg))
+  done;
+  Simnet.Engine.inject engine ~node:topo.Sensor.Topology.root start;
+  let latency_s = Simnet.Engine.run engine in
+  {
+    engine;
+    latency_s;
+    dark = List.sort_uniq Int.compare !dark;
+    give_ups = List.rev !give_ups;
+  }
 
 let collect topo mica ?failure ?fault ?policy plan ~k ~readings =
-  if Array.length readings <> topo.Sensor.Topology.n then
-    invalid_arg "Simnet_exec.collect: readings length mismatch";
+  Protocol.check_inputs "Simnet_exec.collect" topo ~k ~readings;
   let root = topo.Sensor.Topology.root in
-  let payload_bytes = function
-    | Trigger -> 0
-    | Values vs -> List.length vs * mica.Sensor.Mica2.bytes_per_value
-  in
-  let engine =
-    Simnet.Engine.create topo mica ?failure ?fault ?policy ~payload_bytes ()
-  in
   let n = topo.Sensor.Topology.n in
   let participating_children =
     Array.init n (fun u ->
@@ -46,58 +59,41 @@ let collect topo mica ?failure ?fault ?policy plan ~k ~readings =
   let pending = Array.init n (fun u -> List.length participating_children.(u)) in
   let inbox = Array.make n [] in
   let answer = ref [] in
-  let mark_dark, dark = darkness topo in
-  (* Give-up instants in event order: (unreachable endpoint, sim time).
-     One entry per handler invocation, so detection latency is
-     measurable per node rather than inferred from the final dark set. *)
-  let give_ups = ref [] in
   let report api u =
-    let pool =
-      List.sort Exec.value_order ((u, readings.(u)) :: inbox.(u))
-    in
-    if u = root then answer := take k pool
+    let own = (u, readings.(u)) in
+    if u = root then answer := Protocol.filter ~own ~received:inbox.(u) ~cap:k
     else
+      let values =
+        Protocol.filter ~own ~received:inbox.(u) ~cap:(Plan.bandwidth plan u)
+      in
       api.Simnet.Engine.send ~dst:topo.Sensor.Topology.parent.(u)
-        (Values (take (Plan.bandwidth plan u) pool))
+        (Protocol.Report { values; proven = 0; sent_all = false })
   in
-  for u = 0 to n - 1 do
-    if u = root || Plan.bandwidth plan u > 0 then begin
-      Simnet.Engine.on_message engine ~node:u (fun api ~src msg ->
-          match msg with
-          | Trigger ->
-              let kids = participating_children.(u) in
-              if kids = [] then report api u
-              else api.Simnet.Engine.multicast ~dsts:kids Trigger
-          | Values vs ->
-              ignore src;
-              inbox.(u) <- List.rev_append vs inbox.(u);
-              pending.(u) <- pending.(u) - 1;
-              if pending.(u) = 0 then report api u);
-      (* Degradation: an unreachable child's subtree goes dark and the
-         collection proceeds without it; an unreachable parent orphans this
-         node's whole branch. *)
-      Simnet.Engine.on_give_up engine ~node:u (fun api ~dst msg ->
-          give_ups := (dst, api.Simnet.Engine.time ()) :: !give_ups;
-          mark_dark dst;
-          match msg with
-          | Trigger ->
-              pending.(u) <- pending.(u) - 1;
-              if pending.(u) = 0 then report api u
-          | Values _ -> ())
-    end
-  done;
-  Simnet.Engine.inject engine ~node:root Trigger;
-  let latency = Simnet.Engine.run engine in
+  let run =
+    simulate topo mica ~failure ~fault ~policy ~start:Protocol.Trigger
+      (fun api u ~src:_ -> function
+        | Protocol.Trigger ->
+            let kids = participating_children.(u) in
+            if kids = [] then report api u
+            else api.Simnet.Engine.multicast ~dsts:kids Protocol.Trigger
+        | Protocol.Report r ->
+            inbox.(u) <- List.rev_append r.Protocol.values inbox.(u);
+            pending.(u) <- pending.(u) - 1;
+            if pending.(u) = 0 then report api u
+        | Protocol.Pull | Protocol.Pulled _ | Protocol.Range _
+        | Protocol.Ranged _ ->
+            ())
+  in
+  let engine = run.engine in
   {
     returned = !answer;
     total_mj = Simnet.Engine.total_energy engine;
-    per_node_mj =
-      Array.init n (fun i -> Simnet.Engine.energy_of engine i);
-    latency_s = latency;
+    per_node_mj = Array.init n (fun i -> Simnet.Engine.energy_of engine i);
+    latency_s = run.latency_s;
     unicasts = Simnet.Engine.unicasts_sent engine;
     reroutes = Simnet.Engine.reroutes engine;
     retransmissions = Simnet.Engine.retransmissions_sent engine;
-    dark = dark ();
-    give_ups = List.rev !give_ups;
+    dark = run.dark;
+    give_ups = run.give_ups;
     gave_up_frames = Simnet.Engine.gave_up engine;
   }

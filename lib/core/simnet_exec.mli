@@ -1,13 +1,13 @@
 (** Approximate-plan execution on the {!Simnet} discrete-event engine.
 
-    Semantically identical to {!Exec.collect}, but the collection phase
-    actually runs as messages between mote processes: the root broadcasts a
-    trigger down the participating subtree, leaves respond, and each inner
-    node forwards its local filter's output once all participating children
-    have reported.  Used to validate the analytic executor (the test suite
-    asserts both return the same answer and the same collection energy) and
-    to study latency and per-node energy, which the analytic path cannot
-    provide.
+    The collection of {!Exec.collect} run as messages between mote
+    processes: the root broadcasts a trigger down the participating
+    subtree, leaves respond, and each inner node forwards its local filter
+    ({!Protocol.filter}, the same step {!Exec.collect} takes) once all
+    participating children have reported.  Loss-free, its energy is the
+    analytic collection energy plus the trigger broadcasts, which validates
+    the planners' cost model; it also measures latency and per-node energy,
+    which the analytic path cannot provide.
 
     With a [?fault] model the run goes over the engine's ACK/retransmission
     sublayer: recoverable frame loss changes nothing but energy and
@@ -47,3 +47,31 @@ val collect :
   k:int ->
   readings:float array ->
   result
+
+(** {1 The event driver}
+
+    Shared with {!Simnet_protocols}: every simulated protocol is a set of
+    handlers calling {!Protocol} node logic. *)
+
+type run = {
+  engine : Protocol.msg Simnet.Engine.t;
+  latency_s : float;  (** simulated time until the network went quiet *)
+  dark : int list;  (** sorted, deduplicated *)
+  give_ups : (int * float) list;  (** as in {!result} *)
+}
+
+val simulate :
+  Sensor.Topology.t ->
+  Sensor.Mica2.t ->
+  failure:(Sensor.Failure.t * Rng.t) option ->
+  fault:(Simnet.Fault.t * Rng.t) option ->
+  policy:Simnet.Reliable.policy option ->
+  start:Protocol.msg ->
+  (Protocol.msg Simnet.Engine.api -> int -> src:int -> Protocol.msg -> unit) ->
+  run
+(** Install [handle api node ~src msg] on every node, deliver [start] to the
+    root from the query station, and run the engine until it quiesces.
+    Each give-up is recorded, darkens the subtree under the unreachable
+    endpoint, and is handed back to the sender as the request's
+    {!Protocol.silence}, so a silent child counts as an empty, unproven
+    report. *)

@@ -2,12 +2,14 @@
     discrete-event engine.
 
     {!Simnet_exec} covers single-pass approximate plans; this module adds
-    the pull-based NAIVE-1 pipeline and proof-carrying collection, each
-    driven purely by request/response messages between mote processes.
-    The test suite checks they return exactly what the analytic executors
-    ({!Naive.naive_one}, {!Proof_exec.run}) compute, at exactly the same
-    radio energy — the strongest evidence that the analytic cost accounting
-    used by the planners matches a message-level execution.
+    the pull-based NAIVE-1 pipeline, proof-carrying collection and the
+    two-phase exact algorithm, each driven purely by request/response
+    messages between mote processes.  Every node runs the {!Protocol} logic
+    the analytic executors ({!Naive.naive_one}, {!Proof_exec.run},
+    {!Exact.run}) run, so loss-free answers agree by construction.  What
+    the simulator adds is a message-level measurement of radio energy; the
+    test suite checks it against the analytic figure, the evidence that
+    the planners' cost accounting matches a message-level execution.
 
     All three protocols also run over the engine's fault-injection regime
     ([?fault] with an optional retransmission [?policy]): recoverable frame
@@ -58,9 +60,10 @@ val proof_collect :
   readings:float array ->
   unit ->
   proof_result
-(** Proof-carrying collection: each upward message carries the values, the
-    sender's proven-prefix length and its sent-everything flag; provenness
-    is recomputed hop by hop exactly as in {!Proof_exec}.
+(** Proof-carrying collection — phase 1 of {!exact}, stopping there: each
+    upward message carries the values, the sender's proven-prefix length
+    and its sent-everything flag, and every node proves with
+    {!Protocol.prove}, as {!Proof_exec} does.
     @raise Invalid_argument if some edge has zero bandwidth. *)
 
 type exact_result = {
@@ -89,6 +92,6 @@ val exact :
 (** The full two-phase exact algorithm as messages: proof-carrying
     collection, then — when the root proves fewer than [k] values — a
     mop-up wave of range-request broadcasts answered bottom-up, nodes
-    serving what they can from the values they retained in phase 1.  The
-    answer always equals the true top k (asserted against {!Exact.run} in
-    the test suite). *)
+    serving what they can from the values they retained in phase 1.
+    Without dead links the answer is the true top k; a node unreachable in
+    either phase has its subtree listed in [dark]. *)

@@ -291,6 +291,51 @@ let exact_protocol_survives_crash =
       && ids r.Prospector.Simnet_protocols.answer
          = ids (alive_top_k topo readings ~k ~dead))
 
+(* A node that crashes once phase 1 is over misses the mop-up's range
+   request.  Its ancestors already hold its phase-1 values, so the answer
+   may still be exact; if it is not, the crashed subtree must be reported
+   dark — never a silent wrong answer.  The crash lands at, and just
+   after, the moment a loss-free phase 1 completes. *)
+let exact_protocol_crash_after_phase1 =
+  QCheck.Test.make
+    ~name:"exact protocol, crash as phase 1 completes: exact answer or dark"
+    ~count:n_seeds
+    (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100_000))
+    (fun seed ->
+      let rng = Rng.create (seed + 89) in
+      let n = 3 + Rng.int rng 15 in
+      let k = 1 + Rng.int rng 4 in
+      let topo = random_tree rng n in
+      let readings = random_readings rng n in
+      let pplan = Prospector.Proof_exec.min_bandwidth_plan topo in
+      let truth = ids (Prospector.Exec.true_top_k ~k readings) in
+      let phase1_s =
+        (Prospector.Simnet_protocols.proof_collect topo mica
+           ~fault:(Simnet.Fault.none ~n, Rng.create (seed + 21))
+           pplan ~k ~readings ())
+          .Prospector.Simnet_protocols.base
+          .Prospector.Simnet_protocols.latency_s
+      in
+      List.for_all
+        (fun dead ->
+          List.for_all
+            (fun factor ->
+              let fault =
+                Simnet.Fault.with_crashes (Simnet.Fault.none ~n)
+                  [ (dead, phase1_s *. factor, infinity) ]
+              in
+              let r =
+                Prospector.Simnet_protocols.exact topo mica
+                  ~fault:(fault, Rng.create (seed + 21))
+                  pplan ~k ~readings ()
+              in
+              ids r.Prospector.Simnet_protocols.answer = truth
+              || List.for_all
+                   (fun d -> List.mem d r.Prospector.Simnet_protocols.dark)
+                   (Sensor.Topology.descendants topo dead))
+            [ 1.0; 1.01; 1.05; 1.2 ])
+        (List.init (n - 1) (fun i -> i + 1)))
+
 let transient_crash_recovers =
   QCheck.Test.make
     ~name:"transient crash: retries outlast the outage, nothing goes dark"
@@ -392,6 +437,7 @@ let qcheck_cases =
       burst_loss_recovers;
       crashed_subtree_goes_dark;
       exact_protocol_survives_crash;
+      exact_protocol_crash_after_phase1;
       transient_crash_recovers;
       combined_faults_compose;
     ]

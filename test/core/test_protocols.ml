@@ -219,6 +219,130 @@ let exact_protocol_is_exact =
       ids proto.Prospector.Simnet_protocols.answer
       = ids (Prospector.Exec.true_top_k ~k readings))
 
+(* Every executor entry point validates its inputs in one shared place:
+   one reading per node and k >= 1. *)
+let test_entry_points_validate_inputs () =
+  let topo = random_tree (Rng.create 11) 4 in
+  let cost = Sensor.Cost.of_mica2 topo mica in
+  let plan = Prospector.Proof_exec.min_bandwidth_plan topo in
+  let open Prospector in
+  let entry_points : (string * (k:int -> readings:float array -> unit)) list =
+    [
+      ("Exec.collect", fun ~k ~readings ->
+        ignore (Exec.collect topo cost plan ~k ~readings));
+      ("Proof_exec.run", fun ~k ~readings ->
+        ignore (Proof_exec.run topo cost plan ~k ~readings));
+      ("Exact.run", fun ~k ~readings ->
+        ignore (Exact.run topo cost mica plan ~k ~readings));
+      ("Naive.naive_k", fun ~k ~readings ->
+        ignore (Naive.naive_k topo cost ~k ~readings));
+      ("Naive.naive_one", fun ~k ~readings ->
+        ignore (Naive.naive_one topo cost ~k ~readings));
+      ("Simnet_exec.collect", fun ~k ~readings ->
+        ignore (Simnet_exec.collect topo mica plan ~k ~readings));
+      ("Simnet_protocols.naive_one", fun ~k ~readings ->
+        ignore (Simnet_protocols.naive_one topo mica ~k ~readings ()));
+      ("Simnet_protocols.proof_collect", fun ~k ~readings ->
+        ignore (Simnet_protocols.proof_collect topo mica plan ~k ~readings ()));
+      ("Simnet_protocols.exact", fun ~k ~readings ->
+        ignore (Simnet_protocols.exact topo mica plan ~k ~readings ()));
+    ]
+  in
+  List.iter
+    (fun (who, run) ->
+      Alcotest.check_raises (who ^ " readings")
+        (Invalid_argument (who ^ ": readings length mismatch"))
+        (fun () -> run ~k:2 ~readings:(Array.make 5 1.));
+      Alcotest.check_raises (who ^ " k")
+        (Invalid_argument (who ^ ": k must be positive"))
+        (fun () -> run ~k:0 ~readings:(Array.make 4 1.)))
+    entry_points
+
+(* Relabelling: node ids matter only for breaking ties, and continuous
+   readings have none.  Permuting the non-root ids of a tree together with
+   its readings and plans must permute every protocol's answer, on both
+   transports, and leave its message count and energy unchanged (energy up
+   to the order its per-message costs are summed in). *)
+let relabelling_permutes_answers =
+  QCheck.Test.make
+    ~name:"relabelling node ids permutes every answer at the same cost"
+    ~count:100
+    (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100_000))
+    (fun seed ->
+      let rng = Rng.create (seed + 57) in
+      let n = 2 + Rng.int rng 25 in
+      let k = 1 + Rng.int rng 6 in
+      let topo = random_tree rng n in
+      let readings = random_readings rng n in
+      (* pi.(0) = 0 keeps the root; Fisher-Yates over ids 1 .. n-1. *)
+      let pi = Array.init n Fun.id in
+      for i = n - 1 downto 2 do
+        let j = 1 + Rng.int rng i in
+        let t = pi.(i) in
+        pi.(i) <- pi.(j);
+        pi.(j) <- t
+      done;
+      let permute a =
+        let b = Array.copy a in
+        Array.iteri (fun i x -> b.(pi.(i)) <- x) a;
+        b
+      in
+      let parent' = Array.make n (-1) in
+      Array.iteri
+        (fun i p -> if p >= 0 then parent'.(pi.(i)) <- pi.(p))
+        topo.Sensor.Topology.parent;
+      let topo' = Sensor.Topology.of_parents ~root:0 parent' in
+      let abw = Array.init n (fun i -> if i = 0 then 0 else Rng.int rng 3) in
+      let pbw =
+        Array.mapi
+          (fun i size -> if i = 0 then 0 else 1 + Rng.int rng (Int.min size (k + 2)))
+          topo.Sensor.Topology.subtree_size
+      in
+      let runs topo readings abw pbw =
+        let cost = Sensor.Cost.of_mica2 topo mica in
+        let aplan = Prospector.Plan.make topo abw in
+        let pplan = Prospector.Plan.make topo pbw in
+        let open Prospector in
+        let exec (o : Exec.outcome) =
+          (o.returned, o.collection_mj, [ o.messages; o.values_sent ])
+        in
+        let sim (r : Simnet_protocols.result) =
+          (r.returned, r.total_mj, [ r.unicasts ])
+        in
+        [
+          exec (Exec.collect topo cost aplan ~k ~readings);
+          exec (Naive.naive_k topo cost ~k ~readings);
+          exec (Naive.naive_one topo cost ~k ~readings);
+          (let o = Proof_exec.run topo cost pplan ~k ~readings in
+           ( o.result,
+             o.collection_mj,
+             [ o.messages; o.values_sent; o.proven_count ] ));
+          (let o = Exact.run topo cost mica pplan ~k ~readings in
+           ( o.answer,
+             Exact.total_mj o,
+             [
+               o.proven_after_phase1;
+               o.phase1_messages;
+               o.phase2_messages;
+               o.phase2_values;
+             ] ));
+          (let r = Simnet_exec.collect topo mica aplan ~k ~readings in
+           (r.returned, r.total_mj, [ r.unicasts ]));
+          sim (Simnet_protocols.naive_one topo mica ~k ~readings ());
+          (let r = Simnet_protocols.proof_collect topo mica pplan ~k ~readings () in
+           (r.base.returned, r.base.total_mj, [ r.base.unicasts; r.proven_count ]));
+          (let r = Simnet_protocols.exact topo mica pplan ~k ~readings () in
+           (r.answer, r.total_mj, [ r.unicasts; r.proven_after_phase1 ]));
+        ]
+      in
+      List.for_all2
+        (fun (answer, mj, counts) (answer', mj', counts') ->
+          List.map (fun (i, v) -> (pi.(i), v)) answer = answer'
+          && Float.abs (mj -. mj') < 1e-9
+          && counts = counts')
+        (runs topo readings abw pbw)
+        (runs topo' (permute readings) (permute abw) (permute pbw)))
+
 let () =
   Alcotest.run "protocols"
     [
@@ -228,9 +352,15 @@ let () =
             test_naive_one_latency_exceeds_naive_k;
           Alcotest.test_case "proof plan validation" `Quick
             test_proof_protocol_rejects_zero_bandwidth;
+          Alcotest.test_case "entry points validate inputs" `Quick
+            test_entry_points_validate_inputs;
         ] );
       ( "properties",
         qcheck_cases
         @ List.map QCheck_alcotest.to_alcotest
-            [ exact_protocol_matches_analytic; exact_protocol_is_exact ] );
+            [
+              exact_protocol_matches_analytic;
+              exact_protocol_is_exact;
+              relabelling_permutes_answers;
+            ] );
     ]

@@ -74,7 +74,7 @@ let test_r3 () =
 
 let test_r4_fires () =
   check_hits "R4 on each partial accessor"
-    [ ("R4", 1); ("R4", 2); ("R4", 3); ("R4", 4) ]
+    [ ("R4", 1); ("R4", 2); ("R4", 3); ("R4", 4); ("R4", 6); ("R4", 7) ]
     (lint ~logical:"lib/lp/r4_partial.ml" "r4_partial.ml")
 
 let test_r4_zones () =

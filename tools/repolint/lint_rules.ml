@@ -83,7 +83,8 @@ let all =
       id = "R4";
       title = "totality";
       description =
-        "partial accessors (List.hd, List.nth, Option.get, Hashtbl.find), \
+        "partial accessors (List.hd, List.nth, List.assoc, List.find, \
+         Option.get, Hashtbl.find), \
          matched by resolved path, are forbidden in planner paths \
          (lib/core, lib/lp); use _opt variants or a match that raises \
          with the node/variable name";
@@ -256,7 +257,9 @@ let rec safe_structure (ty : Types.type_expr) =
 (* ---- R4: partial accessors ---- *)
 
 let r4_forbidden path =
-  path_matches [ "List.hd"; "List.nth"; "Option.get"; "Hashtbl.find" ] path
+  path_matches
+    [ "List.hd"; "List.nth"; "List.assoc"; "List.find"; "Option.get"; "Hashtbl.find" ]
+    path
 
 (* ---- R5: stdout hygiene ---- *)
 
