@@ -1,5 +1,5 @@
 (* Pretty-print an exported telemetry trace (JSON-lines, as written by
-   Obs.Trace.to_file / the bench telemetry subcommand): one aggregate row
+   Obs.Trace.to_file, e.g. the benchmark's --trace-out): one aggregate row
    per (kind, name) with counts, wall-clock totals, summed attributes and
    per-kind latency percentiles.
 

@@ -26,15 +26,3 @@ let print ppf t =
   List.iter (fun n -> Format.fprintf ppf "   %s@." n) t.notes
 
 let print_all ppf = List.iter (print ppf)
-
-let to_csv t =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (String.concat "," t.columns);
-  Buffer.add_char buf '\n';
-  List.iter
-    (fun row ->
-      Buffer.add_string buf
-        (String.concat "," (List.map (Printf.sprintf "%.4f") row));
-      Buffer.add_char buf '\n')
-    t.rows;
-  Buffer.contents buf

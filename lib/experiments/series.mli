@@ -2,7 +2,7 @@
 
     Each experiment returns one or more named series; [print] renders them
     in an aligned, grep-friendly layout so the repository's EXPERIMENTS.md
-    can quote them directly.  [to_csv] is provided for external plotting. *)
+    can quote them directly. *)
 
 type t = {
   title : string;
@@ -17,5 +17,3 @@ val make : title:string -> columns:string list -> ?notes:string list ->
 val print : Format.formatter -> t -> unit
 
 val print_all : Format.formatter -> t list -> unit
-
-val to_csv : t -> string

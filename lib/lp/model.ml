@@ -140,11 +140,6 @@ let obj_coeff t v =
   if v < 0 || v >= t.nvars then invalid_arg "Model.obj_coeff: unknown var";
   t.objs.(v)
 
-let iter_constraints t f =
-  List.iter
-    (fun r -> f ~name:r.rname r.terms r.sense r.rhs)
-    (List.rev t.rows)
-
 let value sol v = sol.values.(v)
 
 (* ---- lowering to the revised solver's computational form ---- *)
@@ -214,23 +209,14 @@ let objective_of t values =
   done;
   !acc
 
-let finish_revised t ?row_duals ?basis full_x status stats =
-  (* Values are only meaningful at an optimum; zero them otherwise so no
-     caller can accidentally consume a half-converged iterate. *)
-  let values =
-    if status = Optimal then Array.sub full_x 0 t.nvars
-    else Array.make t.nvars 0.
-  in
-  { status; objective = objective_of t values; values; stats; row_duals; basis }
-
 let map_status = function
   | Revised.Optimal -> Optimal
   | Revised.Infeasible -> Infeasible
   | Revised.Unbounded -> Unbounded
   | Revised.Iteration_limit -> Iteration_limit
 
-(* Non-presolve revised solve, also returning the lowered problem and the
-   raw solver result so {!solve_certified} can re-check them. *)
+(* Revised solve, also returning the lowered problem and the raw solver
+   result so {!solve_certified} can re-check them. *)
 let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
   let prob = to_problem t in
   (* A warm basis is only meaningful for a model of identical shape; the
@@ -253,37 +239,24 @@ let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
   let sign = match t.dir with Minimize -> 1. | Maximize -> -1. in
   let row_duals = Array.map (fun y -> sign *. y) res.Revised.duals in
   let basis = { b_nvars = t.nvars; b_nrows = t.nrows; rb = res.Revised.basis } in
+  let status = map_status res.Revised.status in
+  (* Values are only meaningful at an optimum; zero them otherwise so no
+     caller can accidentally consume a half-converged iterate. *)
+  let values =
+    if status = Optimal then Array.sub res.Revised.x 0 t.nvars
+    else Array.make t.nvars 0.
+  in
   let sol =
-    finish_revised t ~row_duals ~basis res.Revised.x
-      (map_status res.Revised.status)
-      (Some res.Revised.stats)
+    {
+      status;
+      objective = objective_of t values;
+      values;
+      stats = Some res.Revised.stats;
+      row_duals = Some row_duals;
+      basis = Some basis;
+    }
   in
   (prob, res, sol)
-
-let solve_revised ?(presolve = false) ?max_iterations ?deadline ?bland_after
-    ?warm_start t =
-  if not presolve then begin
-    let _, _, sol = solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t in
-    sol
-  end
-  else begin
-    let prob = to_problem t in
-    let empty () = Array.make (t.nvars + t.nrows) 0. in
-    match Presolve.apply prob with
-    | Presolve.Infeasible_detected -> finish_revised t (empty ()) Infeasible None
-    | Presolve.Unbounded_detected -> finish_revised t (empty ()) Unbounded None
-    | Presolve.Reduced (reduced, postsolve) ->
-        if reduced.Problem.ncols = 0 then
-          (* Everything was pinned by presolve; the point is feasible. *)
-          finish_revised t (postsolve [||]) Optimal None
-        else begin
-          let res = Revised.solve ?max_iterations ?deadline reduced in
-          finish_revised t
-            (postsolve res.Revised.x)
-            (map_status res.Revised.status)
-            (Some res.Revised.stats)
-        end
-  end
 
 (* ---- lowering to the dense reference solver ----
    The dense solver only supports x >= 0, so general bounds are compiled
@@ -379,12 +352,14 @@ let solve_dense ?max_pivots t =
     basis = None;
   }
 
-let solve ?(solver = `Revised) ?presolve ?max_iterations ?deadline ?bland_after
+let solve ?(solver = `Revised) ?max_iterations ?deadline ?bland_after
     ?warm_start t =
   match solver with
   | `Revised ->
-      solve_revised ?presolve ?max_iterations ?deadline ?bland_after
-        ?warm_start t
+      let _, _, sol =
+        solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t
+      in
+      sol
   | `Dense -> solve_dense t
 
 (* ---- certified solves ---- *)

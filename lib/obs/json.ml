@@ -1,8 +1,8 @@
 (* Minimal JSON reader/writer.  The repository has no JSON dependency and
-   cannot grow one offline, yet three subsystems need the format: the
-   trace exporter (JSON-lines), the bench gate (parsing committed
-   BENCH_*.json baselines) and the telemetry bench record.  This covers
-   the full JSON grammar; numbers are carried as OCaml floats, which is
+   cannot grow one offline, yet several subsystems need the format: the
+   trace exporter (JSON-lines), the benchmark (reading its catalogue),
+   guarantee records, and the lint and sweep reports.  This covers the
+   full JSON grammar; numbers are carried as OCaml floats, which is
    exact for every integer the instrumentation emits (|n| < 2^53). *)
 
 type t =
@@ -74,8 +74,8 @@ let to_string t =
   write buf t;
   Buffer.contents buf
 
-(* Indented printer for committed artifacts: objects one member per line,
-   leaf lists inline, so diffs between bench records stay reviewable. *)
+(* Indented printer for written artifacts: objects one member per line,
+   leaf lists inline, so diffs between reports stay reviewable. *)
 let rec write_pretty buf indent = function
   | Obj kvs when kvs <> [] ->
       let pad = String.make indent ' ' and pad' = String.make (indent + 2) ' ' in
@@ -284,9 +284,6 @@ let parse s =
       if st.pos <> String.length s then Error "trailing garbage after value"
       else Ok v
   | exception Parse_error msg -> Error msg
-
-let parse_exn s =
-  match parse s with Ok v -> v | Error msg -> raise (Parse_error msg)
 
 let of_file path =
   let ic = open_in_bin path in

@@ -1,8 +1,8 @@
 (** Minimal self-contained JSON reader/writer.
 
-    Backs the {!Trace} JSON-lines exporter, the telemetry bench record and
-    the bench-regression gate; exists because the build environment offers
-    no JSON library.  Numbers are OCaml floats (exact for every integer up
+    Backs the {!Trace} JSON-lines exporter, the benchmark catalogue
+    reader, guarantee records and the lint and sweep reports; exists
+    because the build environment offers no JSON library.  Numbers are OCaml floats (exact for every integer up
     to 2{^53}, which covers all emitted counters). *)
 
 type t =
@@ -13,8 +13,6 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
-exception Parse_error of string
-
 val to_string : t -> string
 (** Compact single-line rendering (the JSON-lines form). *)
 
@@ -23,12 +21,9 @@ val number_to_string : float -> string
     decimal point, other values with enough digits to round-trip. *)
 
 val to_string_pretty : t -> string
-(** Indented rendering for committed artifacts; ends with a newline. *)
+(** Indented rendering for written artifacts; ends with a newline. *)
 
 val parse : string -> (t, string) result
-
-val parse_exn : string -> t
-(** @raise Parse_error on malformed input. *)
 
 val of_file : string -> (t, string) result
 (** Parse a whole file.  I/O exceptions propagate. *)

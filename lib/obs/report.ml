@@ -64,8 +64,8 @@ let of_events evs =
       in
       if e.Trace.dur_s > 0. then Metrics.observe h e.Trace.dur_s)
     evs;
-  (* Canonical order everywhere downstream (pp, JSONL/CSV exporters, the
-     BENCH_PR4.json record): rows by (kind, name), attr totals by key,
+  (* Canonical order everywhere downstream (pp, the JSONL exporter, the
+     benchmark ledger): rows by (kind, name), attr totals by key,
      histograms by kind — never hash-table order. *)
   let rows =
     Hashtbl.fold (fun _ r acc -> r :: acc) tbl []

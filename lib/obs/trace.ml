@@ -2,8 +2,8 @@
 
    Instrumentation points call {!emit}; with no sink installed (the
    default) the call is one load and a branch.  Sinks record events in
-   emission order; exporters render JSON-lines (one event per line, parse
-   it back with {!read_jsonl}) or CSV. *)
+   emission order; the exporter renders JSON-lines (one event per line,
+   parse it back with {!read_jsonl}). *)
 
 type kind =
   | Solve | Certify | Plan | Epoch | Retransmit | Guarantee | Repair | Serve
@@ -166,47 +166,6 @@ let read_jsonl path =
                     Error (Printf.sprintf "line %d: not a trace event" lineno)))
       in
       go [] 1)
-
-(* ---- CSV ----
-
-   Fixed columns [kind,name,start_s,dur_s,attrs]; the attribute list is
-   flattened to [k=v] pairs joined with ';' inside one quoted field, so
-   the file stays loadable by anything that speaks RFC-4180. *)
-
-let csv_escape s =
-  if String.exists (fun c -> c = ',' || c = '"' || c = '\n') s then
-    "\"" ^ String.concat "\"\"" (String.split_on_char '"' s) ^ "\""
-  else s
-
-let attr_value_to_string = function
-  | Int i -> string_of_int i
-  | Float x -> Json.number_to_string x
-  | Str s -> s
-  | Bool b -> string_of_bool b
-
-let write_csv oc evs =
-  output_string oc "kind,name,start_s,dur_s,attrs\n";
-  List.iter
-    (fun e ->
-      let attrs =
-        String.concat ";"
-          (List.map
-             (fun (k, v) -> k ^ "=" ^ attr_value_to_string v)
-             e.attrs)
-      in
-      Printf.fprintf oc "%s,%s,%s,%s,%s\n"
-        (kind_to_string e.kind)
-        (csv_escape e.name)
-        (Json.number_to_string e.start_s)
-        (Json.number_to_string e.dur_s)
-        (csv_escape attrs))
-    evs
-
-let to_csv_file path evs =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> write_csv oc evs)
 
 (* ---- attr helpers for consumers ---- *)
 

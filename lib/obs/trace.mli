@@ -1,11 +1,11 @@
-(** Typed trace events (spans) with an installable in-memory sink and
-    JSON-lines / CSV exporters.
+(** Typed trace events (spans) with an installable in-memory sink and a
+    JSON-lines exporter.
 
     Instrumented code calls {!emit} unconditionally; with no sink
     installed — the default — the call costs one load and a branch.
     Install a sink with {!install} around a run, then export its events
-    with {!to_file} (JSON-lines, re-readable with {!read_jsonl}) or
-    {!to_csv_file}, or aggregate them with {!Report}. *)
+    with {!to_file} (JSON-lines, re-readable with {!read_jsonl}), or
+    aggregate them with {!Report}. *)
 
 (** The instrumented span kinds: LP solves, certification passes, planner
     decisions, whole simulated collection rounds, individual link-layer
@@ -73,12 +73,6 @@ val read_jsonl : string -> (event list, string) result
 (** Parse a JSON-lines trace file back; blank lines are skipped.  Whole
     floats come back as [Int] attrs (JSON has one number type); use
     {!number} to consume numeric attrs uniformly. *)
-
-val write_csv : out_channel -> event list -> unit
-
-val to_csv_file : string -> event list -> unit
-(** Columns [kind,name,start_s,dur_s,attrs]; attrs flattened to
-    [k=v;k=v] in one RFC-4180-quoted field. *)
 
 (** {1 Attr access} *)
 

@@ -1,4 +1,5 @@
-(* Canonical query identities.  FNV-1a 64-bit over explicit bit patterns:
+(* Canonical query identities: raw IEEE-754 bit patterns for the budget
+   and the guarantee target, FNV-1a 64-bit for the spanning tree —
    deterministic across runs, processes and machines, unlike the runtime's
    polymorphic hash. *)
 
@@ -7,7 +8,7 @@ type t = {
   window : int;
   k : int;
   budget_bits : int64;
-  guarantee_bits : int64;
+  guarantee_bits : (int64 * int64) option;
   topo_hash : int64;
   samples : int;
 }
@@ -37,18 +38,24 @@ let hash_parents ~root parents =
 let make ~network ~window ~k ~budget ~guarantee ~topo_hash ~samples =
   let budget_bits = Int64.bits_of_float (canonical_budget budget) in
   let guarantee_bits =
-    match guarantee with
-    | None -> 0L
-    | Some (eps, delta) ->
-        fnv1a_int64
-          (fnv1a_int64 fnv_offset (Int64.bits_of_float eps))
-          (Int64.bits_of_float delta)
+    Option.map
+      (fun (eps, delta) -> (Int64.bits_of_float eps, Int64.bits_of_float delta))
+      guarantee
   in
   { network; window; k; budget_bits; guarantee_bits; topo_hash; samples }
 
+(* The raw (ε, δ) bits, never a hash of them: two targets share a key only
+   when they are bit-identical, so a plan certified for one target is
+   never served for another.  "g0" (no target) cannot collide with
+   "g<eps>.<delta>". *)
+let guarantee_key = function
+  | None -> "g0"
+  | Some (eps, delta) -> Printf.sprintf "g%Lx.%Lx" eps delta
+
 let family_key t =
-  Printf.sprintf "n%d/w%d/k%d/m%d/t%Lx/g%Lx" t.network t.window t.k t.samples
-    t.topo_hash t.guarantee_bits
+  Printf.sprintf "n%d/w%d/k%d/m%d/t%Lx/%s" t.network t.window t.k t.samples
+    t.topo_hash
+    (guarantee_key t.guarantee_bits)
 
 let exact_key t = Printf.sprintf "%s/b%Lx" (family_key t) t.budget_bits
 

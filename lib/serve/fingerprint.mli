@@ -8,16 +8,20 @@
     differ only in the budget row's right-hand side, which is the unit of
     budget-range plan validity and of warm-basis reuse.
 
-    All hashing is explicit FNV-1a over the canonical bit patterns: no
-    [Hashtbl.hash], no dependence on in-memory layout, stable across runs
-    and processes (R1 determinism). *)
+    Budgets and guarantee targets enter the keys as raw bit patterns, so
+    distinct targets never share a key.  The one hash, of the spanning
+    tree, is explicit FNV-1a over the parent array: no [Hashtbl.hash], no
+    dependence on in-memory layout, stable across runs and processes (R1
+    determinism). *)
 
 type t = private {
   network : int;  (** registered network id *)
   window : int;  (** the network's sample-window version when admitted *)
   k : int;
   budget_bits : int64;  (** IEEE-754 bits of the canonicalized budget *)
-  guarantee_bits : int64;  (** hash of the (ε, δ) target; 0 when absent *)
+  guarantee_bits : (int64 * int64) option;
+      (** IEEE-754 bits of the (ε, δ) target, unhashed; [None] when
+          absent *)
   topo_hash : int64;  (** structural hash of the network's spanning tree *)
   samples : int;  (** window size — with [topo_hash] and [k], the LP shape *)
 }

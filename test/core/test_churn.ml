@@ -578,6 +578,101 @@ let test_surgery_repairs_and_restores () =
   | Prospector.Repair.Unnecessary -> ()
   | _ -> Alcotest.fail "unchanged dead set must be Unnecessary"
 
+(* Pinned repair energies on the seed-20060403 churn instance: n = 40,
+   k = 8, a 160-sample window, budget 0.7x the minimum-bandwidth
+   collection cost.  Each of the eight largest participating subtrees is
+   killed alone and repaired by warm-started surgery; then one
+   crash-restart campaign runs the controller end to end.  The energies
+   are model-derived and deterministic, so they are held to 1e-9: a drift
+   is a behaviour change in surgery, install deltas or detection. *)
+let test_pinned_repair_energies () =
+  let seed = 20060403 in
+  let n = 40 and k = 8 in
+  let rng = Rng.create (seed * 104729) in
+  let layout = Sensor.Placement.uniform rng ~n ~width:200. ~height:200. () in
+  let range = Sensor.Topology.min_connecting_range layout *. 1.25 in
+  let topo = Sensor.Topology.build layout ~range in
+  let cost = Sensor.Cost.of_mica2 topo mica in
+  let field =
+    Sampling.Field.random_gaussian rng ~n ~mean_lo:20. ~mean_hi:30. ~sigma_lo:1.
+      ~sigma_hi:4.
+  in
+  let samples = Sampling.Sample_set.draw rng field ~k ~count:160 in
+  let budget =
+    0.7
+    *. Prospector.Plan.expected_collection_mj topo cost
+         (Prospector.Proof_exec.min_bandwidth_plan topo)
+  in
+  let first = Prospector.Lp_lf.plan topo cost samples ~budget ~k in
+  let initial = first.Prospector.Lp_lf.plan in
+  let root = topo.Sensor.Topology.root in
+  let by_subtree_desc a b =
+    let sa = topo.Sensor.Topology.subtree_size.(a)
+    and sb = topo.Sensor.Topology.subtree_size.(b) in
+    if sa <> sb then Int.compare sb sa else Int.compare a b
+  in
+  let victims =
+    Prospector.Plan.participants topo initial
+    |> List.filter (fun i -> i <> root)
+    |> List.sort by_subtree_desc
+    |> List.filteri (fun i _ -> i < 8)
+  in
+  Alcotest.(check (list int))
+    "victim order" [ 20; 23; 37; 16; 30; 13; 17; 21 ] victims;
+  List.iter2
+    (fun v expected ->
+      match
+        Prospector.Repair.surgery ?warm_start:first.Prospector.Lp_lf.basis
+          ~delta:1e-4 topo cost mica samples ~current:initial ~dead:[ v ] ~k
+          ~budget
+      with
+      | Prospector.Repair.Repaired r ->
+          Alcotest.(check (float 1e-9))
+            (Printf.sprintf "victim %d delta install mJ" v)
+            expected r.Prospector.Repair.delta_install_mj
+      | _ -> Alcotest.failf "victim %d: surgery did not repair" v)
+    victims
+    [ 6.2325; 7.27125; 4.155; 4.155; 4.155; 8.31; 6.2325; 6.2325 ];
+  (* Crash-restart campaign: the largest victim is down for epochs 2-5,
+     with a full-coverage probe sweep beside the installed plan. *)
+  let victim = List.hd victims in
+  let ctrl =
+    Prospector.Repair.create ~confirm_after:2 ~clear_after:2 ~delta:1e-4 topo
+      cost mica ~initial ~k ~budget ()
+  in
+  let probe =
+    Prospector.Plan.make topo
+      (Array.mapi
+         (fun i size -> if i = root then 0 else Int.min size k)
+         topo.Sensor.Topology.subtree_size)
+  in
+  let erng = Rng.create ((seed * 131) + 17) in
+  for e = 0 to 9 do
+    let base = Simnet.Fault.none ~n in
+    let fault =
+      if e >= 2 && e < 6 then
+        Simnet.Fault.with_crashes base [ (victim, 0., infinity) ]
+      else base
+    in
+    let readings = field.Sampling.Field.draw erng in
+    let collect plan salt =
+      Prospector.Simnet_exec.collect topo mica
+        ~fault:(fault, Rng.create ((seed * 37) + (2 * e) + salt))
+        plan ~k ~readings
+    in
+    let run = collect (Prospector.Repair.plan ctrl) 0 in
+    let sweep = collect probe 1 in
+    let dark =
+      List.sort_uniq Int.compare
+        (run.Prospector.Simnet_exec.dark @ sweep.Prospector.Simnet_exec.dark)
+    in
+    ignore (Prospector.Repair.observe ctrl samples ~dark)
+  done;
+  Alcotest.(check int) "campaign repairs" 2 (Prospector.Repair.repairs ctrl);
+  Alcotest.(check (float 1e-9))
+    "campaign recovery mJ" 13.50375
+    (Prospector.Repair.repair_energy_mj ctrl)
+
 let test_floor_refusal () =
   let topo, cost, train = unit_setup 43 in
   let r = Prospector.Lp_lf.plan topo cost train ~budget:30. ~k:2 in
@@ -679,6 +774,8 @@ let () =
           Alcotest.test_case "repair and restoration" `Quick
             test_surgery_repairs_and_restores;
           Alcotest.test_case "floor refusal" `Quick test_floor_refusal;
+          Alcotest.test_case "pinned repair energies" `Quick
+            test_pinned_repair_energies;
           Alcotest.test_case "controller keeps plan on refusal" `Quick
             test_controller_refusal_keeps_plan;
         ] );

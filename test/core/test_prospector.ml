@@ -548,6 +548,68 @@ let test_lp_proof_budget_too_small () =
    with Prospector.Lp_proof.Budget_too_small min_cost ->
      Alcotest.(check bool) "minimum reported" true (min_cost > 0.))
 
+(* Pinned simplex iteration counts on the seed-20060403 planning
+   instances (uniform 200 m x 200 m layout, radio range 1.25x the minimum
+   connecting range, Gaussian field, budget 1.2x the minimum-bandwidth
+   collection cost).  A count that moves is a solver behaviour change:
+   pricing, ratio test, degeneracy handling or the warm-start path. *)
+let iteration_instance ~n ~n_samples ~k =
+  let rng = Rng.create 20060403 in
+  let layout = Sensor.Placement.uniform rng ~n ~width:200. ~height:200. () in
+  let range = Sensor.Topology.min_connecting_range layout *. 1.25 in
+  let topo = Sensor.Topology.build layout ~range in
+  let cost = Sensor.Cost.of_mica2 topo mica in
+  let field =
+    Sampling.Field.random_gaussian rng ~n ~mean_lo:20. ~mean_hi:30.
+      ~sigma_lo:1. ~sigma_hi:4.
+  in
+  let samples = Sampling.Sample_set.draw rng field ~k ~count:n_samples in
+  let anchor =
+    Prospector.Plan.expected_collection_mj topo cost
+      (Prospector.Proof_exec.min_bandwidth_plan topo)
+  in
+  (topo, cost, samples, 1.2 *. anchor)
+
+let iterations = function
+  | Some s -> s.Lp.Revised.iterations
+  | None -> Alcotest.fail "revised solver did not run"
+
+let test_pinned_iteration_counts () =
+  List.iter
+    (fun (n, n_samples, k, lp_no_lf, lp_lf) ->
+      let topo, cost, samples, budget = iteration_instance ~n ~n_samples ~k in
+      Alcotest.(check int)
+        (Printf.sprintf "lp-lf n=%d" n)
+        lp_no_lf
+        (iterations
+           (Prospector.Lp_no_lf.plan topo cost samples ~budget)
+             .Prospector.Lp_no_lf.lp_stats);
+      Alcotest.(check int)
+        (Printf.sprintf "lp+lf n=%d" n)
+        lp_lf
+        (iterations
+           (Prospector.Lp_lf.plan topo cost samples ~budget ~k)
+             .Prospector.Lp_lf.lp_stats))
+    [ (50, 15, 10, 58, 245); (100, 30, 20, 132, 812) ];
+  (* Warm re-planning after a 1.05x budget move: cold from scratch, and
+     warm from the first solve's basis, which stays optimal. *)
+  let topo, cost, samples, budget =
+    iteration_instance ~n:100 ~n_samples:30 ~k:20
+  in
+  let first = Prospector.Lp_lf.plan topo cost samples ~budget ~k:20 in
+  let budget = 1.05 *. budget in
+  let cold = Prospector.Lp_lf.plan topo cost samples ~budget ~k:20 in
+  let warm =
+    Prospector.Lp_lf.plan ?warm_start:first.Prospector.Lp_lf.basis topo cost
+      samples ~budget ~k:20
+  in
+  Alcotest.(check int) "cold re-solve" 812
+    (iterations cold.Prospector.Lp_lf.lp_stats);
+  Alcotest.(check int) "warm re-solve" 0
+    (iterations warm.Prospector.Lp_lf.lp_stats);
+  Alcotest.(check (float 0.)) "warm objective equals cold"
+    cold.Prospector.Lp_lf.lp_objective warm.Prospector.Lp_lf.lp_objective
+
 let lp_proof_plans_are_valid =
   QCheck.Test.make
     ~name:"LP-PROOF plans have bandwidth >= 1 everywhere and prove a lot"
@@ -664,6 +726,8 @@ let () =
           Alcotest.test_case "LP+LF with generous budget" `Quick
             test_lp_lf_generous_budget_covers_everything;
           Alcotest.test_case "LP-PROOF budget check" `Quick test_lp_proof_budget_too_small;
+          Alcotest.test_case "pinned simplex iteration counts" `Quick
+            test_pinned_iteration_counts;
         ] );
       ( "evaluate",
         [ Alcotest.test_case "points are sane" `Quick test_evaluate_points ] );

@@ -7,14 +7,6 @@ let test_series_width_checked () =
       ignore
         (Experiments.Series.make ~title:"t" ~columns:[ "a"; "b" ] [ [ 1. ] ]))
 
-let test_series_csv () =
-  let s =
-    Experiments.Series.make ~title:"t" ~columns:[ "a"; "b" ]
-      [ [ 1.; 2. ]; [ 3.5; -1. ] ]
-  in
-  Alcotest.(check string) "csv" "a,b\n1.0000,2.0000\n3.5000,-1.0000\n"
-    (Experiments.Series.to_csv s)
-
 let test_series_print_shape () =
   let s =
     Experiments.Series.make ~title:"sample" ~columns:[ "x" ]
@@ -118,7 +110,6 @@ let () =
       ( "series",
         [
           Alcotest.test_case "ragged rows rejected" `Quick test_series_width_checked;
-          Alcotest.test_case "csv rendering" `Quick test_series_csv;
           Alcotest.test_case "print shape" `Quick test_series_print_shape;
         ] );
       ( "setup",

@@ -1,8 +1,7 @@
 (* Unit tests for the lib/obs telemetry stack: gating semantics of the
    metrics registry, histogram percentile/merge math, trace round-trips
-   through the JSON-lines exporter, the bench gate's comparison rules, and
-   an end-to-end check that a lossy simnet run's trace agrees with the
-   engine's own energy ledger. *)
+   through the JSON-lines exporter, and an end-to-end check that a lossy
+   simnet run's trace agrees with the engine's own energy ledger. *)
 
 let cleanup () =
   Obs.Metrics.set_enabled false;
@@ -192,99 +191,6 @@ let test_jsonl_roundtrip () =
             "bool attr" true
             (Obs.Trace.find_attr e "warm" = Some (Obs.Trace.Bool false)))
 
-let test_csv_export () =
-  let path = Filename.temp_file "obs_test" ".csv" in
-  Fun.protect
-    ~finally:(fun () -> Sys.remove path)
-    (fun () ->
-      Obs.Trace.to_csv_file path sample_events;
-      let ic = open_in path in
-      let lines = ref [] in
-      (try
-         while true do
-           lines := input_line ic :: !lines
-         done
-       with End_of_file -> close_in ic);
-      let lines = List.rev !lines in
-      Alcotest.(check int) "header + one line per event" 3 (List.length lines);
-      Alcotest.(check string) "header" "kind,name,start_s,dur_s,attrs"
-        (List.hd lines))
-
-(* ---- gate ---- *)
-
-let gate_record ~ms ~iters =
-  Obs.Json.Obj
-    [
-      ( "lp_solve_times",
-        Obs.Json.List
-          [
-            Obs.Json.Obj
-              [
-                ("name", Obs.Json.Str "lp+lf");
-                ("ms_per_solve", Obs.Json.Num ms);
-                ("iterations", Obs.Json.Num iters);
-              ];
-          ] );
-      ( "warm_start_replan",
-        Obs.Json.Obj
-          [
-            ("cold_ms", Obs.Json.Num ms);
-            ("warm_iterations", Obs.Json.Num 0.);
-            ("objective_abs_gap", Obs.Json.Num 1e-9);
-          ] );
-      ( "pr1_seed_baseline",
-        Obs.Json.Obj [ ("ms_per_solve", Obs.Json.Num 999.) ] );
-    ]
-
-let test_gate_flatten_classify () =
-  let leaves = Obs.Gate.flatten (gate_record ~ms:10. ~iters:50.) in
-  Alcotest.(check (option (float 0.)))
-    "array path" (Some 10.)
-    (List.assoc_opt "lp_solve_times[0].ms_per_solve" leaves);
-  Alcotest.(check bool)
-    "ms_per_solve gated as time" true
-    (Obs.Gate.classify "lp_solve_times[0].ms_per_solve"
-    = Some Obs.Gate.Time_ms);
-  Alcotest.(check bool)
-    "warm_iterations gated as iterations" true
-    (Obs.Gate.classify "warm_start_replan.warm_iterations"
-    = Some Obs.Gate.Iterations);
-  Alcotest.(check bool)
-    "frozen block never gated" true
-    (Obs.Gate.classify "pr1_seed_baseline.ms_per_solve" = None);
-  Alcotest.(check bool)
-    "ungated numeric leaf" true
-    (Obs.Gate.classify "warm_start_replan.objective_abs_gap" = None)
-
-let test_gate_verdicts () =
-  let baseline = gate_record ~ms:20. ~iters:100. in
-  let pass fresh =
-    (Obs.Gate.compare_values ~baseline ~fresh ()).Obs.Gate.pass
-  in
-  Alcotest.(check bool) "identity passes" true (pass baseline);
-  Alcotest.(check bool) "within tolerance" true
-    (pass (gate_record ~ms:25. ~iters:120.));
-  Alcotest.(check bool) "iteration slack covers zero baselines" true
-    (pass (gate_record ~ms:20. ~iters:101.));
-  Alcotest.(check bool) "2x slower fails" false
-    (pass (gate_record ~ms:40. ~iters:100.));
-  Alcotest.(check bool) "2x iterations fails" false
-    (pass (gate_record ~ms:20. ~iters:200.));
-  Alcotest.(check bool) "2x faster fails too (stale baseline)" false
-    (pass (gate_record ~ms:9. ~iters:100.));
-  Alcotest.(check bool) "missing gated key fails" false
-    (pass (Obs.Json.Obj [ ("unrelated", Obs.Json.Num 1.) ]));
-  (* Sub-millisecond times are noise: skipped, reported, never failing. *)
-  let v =
-    Obs.Gate.compare_values
-      ~baseline:(gate_record ~ms:0.2 ~iters:100.)
-      ~fresh:(gate_record ~ms:0.9 ~iters:100.)
-      ()
-  in
-  Alcotest.(check bool) "sub-ms skipped" true v.Obs.Gate.pass;
-  Alcotest.(check bool) "skips are visible in the verdict" true
-    (List.exists (fun o -> o.Obs.Gate.skipped) v.Obs.Gate.outcomes)
-
 (* ---- end to end: simnet trace vs engine ledger ---- *)
 
 let test_simnet_roundtrip () =
@@ -368,13 +274,6 @@ let () =
             (with_clean test_emit_requires_sink);
           Alcotest.test_case "jsonl round trip" `Quick
             (with_clean test_jsonl_roundtrip);
-          Alcotest.test_case "csv export" `Quick (with_clean test_csv_export);
-        ] );
-      ( "gate",
-        [
-          Alcotest.test_case "flatten and classify" `Quick
-            (with_clean test_gate_flatten_classify);
-          Alcotest.test_case "verdicts" `Quick (with_clean test_gate_verdicts);
         ] );
       ( "simnet",
         [

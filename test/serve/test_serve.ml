@@ -409,6 +409,180 @@ let test_window_rotation () =
   Alcotest.(check bool) "re-certified on the new window" true
     (served out.(0)).certify.Lp.Certify.certified
 
+(* Guarantee targets are part of the exact identity bit for bit: targets
+   one ulp apart in ε alone or δ alone, and "no target" against any
+   target, must never share a plan-cache or coalescing key. *)
+let test_guarantee_keys () =
+  let key guarantee =
+    Serve.Fingerprint.exact_key
+      (Serve.Fingerprint.make ~network:0 ~window:0 ~k:4 ~budget:10. ~guarantee
+         ~topo_hash:7L ~samples:12)
+  in
+  let targets =
+    [
+      ("none", None);
+      ("(0.1, 0.05)", Some (0.1, 0.05));
+      ("eps + 1 ulp", Some (Float.succ 0.1, 0.05));
+      ("delta + 1 ulp", Some (0.1, Float.succ 0.05));
+      ("both + 1 ulp", Some (Float.succ 0.1, Float.succ 0.05));
+      ("swapped", Some (0.05, 0.1));
+      ("(0.5, 0.5)", Some (0.5, 0.5));
+      ("min subnormal", Some (Float.succ 0., 0.5));
+    ]
+  in
+  List.iteri
+    (fun i (na, ga) ->
+      Alcotest.(check string)
+        (Printf.sprintf "%s keys equal to itself" na)
+        (key ga) (key ga);
+      List.iteri
+        (fun j (nb, gb) ->
+          if i < j then
+            Alcotest.(check bool)
+              (Printf.sprintf "%s vs %s keys differ" na nb)
+              false
+              (String.equal (key ga) (key gb)))
+        targets)
+    targets
+
+(* ------------------------------------------------------------------ *)
+(* The seed-20060403 serving workload                                  *)
+
+(* Three tenants (n = 60, k = 6, 16-sample windows), each with a budget
+   ladder around 0.55x its minimum-bandwidth collection cost.  Generation
+   [g] holds ten fresh budgets per tenant, interleaved across tenants so
+   every admission batch is multi-tenant.  The hit-traffic stream pairs
+   each fresh generation-2 budget with two exact repeats (one from each
+   earlier generation) and an identical in-flight duplicate that
+   coalesces onto the fresh solve: three solve-free serves per solve. *)
+type workload = {
+  nets : (Sensor.Topology.t * Sensor.Cost.t * Sampling.Sample_set.t) list;
+  gen0 : Serve.Server.query array;
+  gen1 : Serve.Server.query array;
+  hit_stream : Serve.Server.query array;
+}
+
+let seeded_workload () =
+  let n = 60 and k = 6 and q_per_tenant = 10 in
+  let rng = Rng.create (20060403 * 7919) in
+  let tenant () =
+    let layout = Sensor.Placement.uniform rng ~n ~width:200. ~height:200. () in
+    let range = Sensor.Topology.min_connecting_range layout *. 1.2 in
+    let topo = Sensor.Topology.build layout ~range in
+    let cost = Sensor.Cost.of_mica2 topo mica in
+    let field =
+      Sampling.Field.random_gaussian rng ~n ~mean_lo:20. ~mean_hi:30.
+        ~sigma_lo:1. ~sigma_hi:4.
+    in
+    let samples = Sampling.Sample_set.draw rng field ~k ~count:16 in
+    let base =
+      0.55
+      *. Prospector.Plan.expected_collection_mj topo cost
+           (Prospector.Proof_exec.min_bandwidth_plan topo)
+    in
+    ((topo, cost, samples), base)
+  in
+  let tenants = List.init 3 (fun _ -> tenant ()) in
+  let generation g =
+    Array.of_list
+      (List.concat
+         (List.init q_per_tenant (fun i ->
+              List.mapi
+                (fun network (_, base) ->
+                  let step = ((g * q_per_tenant) + i) * 2 in
+                  Serve.Server.query ~network ~k
+                    (base *. (1. +. (0.001 *. float_of_int step))))
+                tenants)))
+  in
+  let gen0 = generation 0 and gen1 = generation 1 and gen2 = generation 2 in
+  let hit_stream =
+    Array.concat
+      (List.init (Array.length gen2) (fun i ->
+           [| gen0.(i); gen1.(i); gen2.(i); gen2.(i) |]))
+  in
+  { nets = List.map fst tenants; gen0; gen1; hit_stream }
+
+let workload_server w ~cache ~pool =
+  let t = Serve.Server.create ~config:(config ~cache ~pool ~batch:16 ()) () in
+  List.iter
+    (fun (topo, cost, samples) ->
+      ignore (Serve.Server.register t topo cost samples))
+    w.nets;
+  t
+
+(* Every query of a phase must be served, from one of the allowed
+   sources. *)
+let expect_sources phase allowed outcomes =
+  Array.iteri
+    (fun i o ->
+      let r = served o in
+      if not (allowed r.Serve.Server.source) then
+        Alcotest.failf "%s query %d: served from %s" phase i
+          (Serve.Server.source_to_string r.Serve.Server.source))
+    outcomes
+
+let any_source _ = true
+
+(* The replayed phase is all exact cache hits, the next generation is all
+   warm (pooled or in-range), nothing is refused, and the counters are
+   exact: the stream is seeded, so a count that moves is a behaviour
+   change in admission, caching or pooling. *)
+let test_seeded_workload_counters () =
+  let w = seeded_workload () in
+  let t = workload_server w ~cache:256 ~pool:8 in
+  let run phase allowed queries =
+    expect_sources phase allowed (Serve.Server.run t queries)
+  in
+  run "prime" any_source w.gen0;
+  run "replayed"
+    (function Serve.Server.Cache_hit -> true | _ -> false)
+    w.gen0;
+  run "pooled"
+    (function Serve.Server.Pool_warm | Serve.Server.Range_hit -> true | _ -> false)
+    w.gen1;
+  run "hit traffic" any_source w.hit_stream;
+  let s = Serve.Server.stats t in
+  let check name expected actual = Alcotest.(check int) name expected actual in
+  check "cache_hits" 90 s.cache_hits;
+  check "cache_misses" 90 (s.range_hits + s.pool_hits + s.cold_misses);
+  check "range_hits" 0 s.range_hits;
+  check "pool_hits" 74 s.pool_hits;
+  check "cold_misses" 16 s.cold_misses;
+  check "coalesced" 30 s.coalesced;
+  check "evictions" 0 s.evictions;
+  check "refused" 0 s.refused
+
+(* Hit traffic must be served at least 5x faster per query than the same
+   number of cold solves.  Cold passes (no cache, no pool) alternate with
+   hit-traffic passes (on a server primed with the two earlier
+   generations), and the best of five of each is compared, so a slow
+   phase of the host hits both sides. *)
+let test_hit_traffic_speedup () =
+  let w = seeded_workload () in
+  let ms_per_query t queries =
+    let t0 = Obs.Trace.now () in
+    let out = Serve.Server.run t queries in
+    let ms = 1000. *. (Obs.Trace.now () -. t0) in
+    expect_sources "timed" any_source out;
+    ms /. float_of_int (Array.length queries)
+  in
+  let cold () = ms_per_query (workload_server w ~cache:0 ~pool:0) w.gen0 in
+  let hit () =
+    let t = workload_server w ~cache:256 ~pool:8 in
+    ignore (Serve.Server.run t w.gen0);
+    ignore (Serve.Server.run t w.gen1);
+    ms_per_query t w.hit_stream
+  in
+  let best_cold = ref infinity and best_hit = ref infinity in
+  for _ = 1 to 5 do
+    best_cold := Float.min !best_cold (cold ());
+    best_hit := Float.min !best_hit (hit ())
+  done;
+  let speedup = !best_cold /. !best_hit in
+  Alcotest.(check bool)
+    (Printf.sprintf "hit traffic %.1fx faster than cold (need >= 5x)" speedup)
+    true (speedup >= 5.)
+
 (* ------------------------------------------------------------------ *)
 
 let () =
@@ -432,10 +606,19 @@ let () =
           Alcotest.test_case "identical streams across domain counts" `Quick
             test_determinism_across_domains;
           test_certified_serving_property ();
+          Alcotest.test_case "seeded workload counters" `Quick
+            test_seeded_workload_counters;
+        ] );
+      ( "performance",
+        [
+          Alcotest.test_case "hit traffic at least 5x cold" `Quick
+            test_hit_traffic_speedup;
         ] );
       ( "structures",
         [
           Alcotest.test_case "plan-cache LRU" `Quick test_plan_cache_lru;
           Alcotest.test_case "pool nearest lookup" `Quick test_pool_nearest;
+          Alcotest.test_case "guarantee targets keyed exactly" `Quick
+            test_guarantee_keys;
         ] );
     ]
