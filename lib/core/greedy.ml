@@ -1,3 +1,52 @@
+(* Routing cost of a growing selection whose values each travel to the
+   root: one per-value charge along the whole path (the precomputed prefix
+   sum) plus a per-message charge on every edge not yet carrying traffic. *)
+type path_cost = {
+  root : int;
+  parent : int array;
+  per_message : float array;
+  value_to_root : float array;
+  carried : int array;  (* chosen descendants routed over each edge *)
+  mutable spent : float;
+}
+
+let path_cost topo cost =
+  {
+    root = topo.Sensor.Topology.root;
+    parent = topo.Sensor.Topology.parent;
+    per_message = cost.Sensor.Cost.per_message;
+    value_to_root = Sensor.Cost.value_to_root cost topo;
+    carried = Array.make topo.Sensor.Topology.n 0;
+    spent = 0.;
+  }
+
+let marginal pc node =
+  let acc = ref pc.value_to_root.(node) in
+  let u = ref node in
+  while !u <> pc.root do
+    if pc.carried.(!u) = 0 then acc := !acc +. pc.per_message.(!u);
+    u := pc.parent.(!u)
+  done;
+  !acc
+
+let add pc node marginal =
+  pc.spent <- pc.spent +. marginal;
+  let u = ref node in
+  while !u <> pc.root do
+    pc.carried.(!u) <- pc.carried.(!u) + 1;
+    u := pc.parent.(!u)
+  done
+
+let commit pc node = add pc node (marginal pc node)
+
+let try_add pc ~budget node =
+  let m = marginal pc node in
+  if pc.spent +. m <= budget +. 1e-9 then begin
+    add pc node m;
+    true
+  end
+  else false
+
 let chosen_by_colsum topo cost ~colsum ~budget =
   if budget < 0. then invalid_arg "Greedy.chosen_by_colsum: negative budget";
   let n = topo.Sensor.Topology.n in
@@ -13,44 +62,29 @@ let chosen_by_colsum topo cost ~colsum ~budget =
   in
   let chosen = Array.make n false in
   chosen.(root) <- true;
-  (* Incremental cost: count of chosen descendants per edge. *)
-  let carried = Array.make n 0 in
-  let current_cost = ref 0. in
-  let parent = topo.Sensor.Topology.parent in
-  let value_to_root = Sensor.Cost.value_to_root cost topo in
-  let try_add node =
-    (* Marginal cost of routing [node]'s value to the root: a new
-       per-message cost on every edge not yet used, plus one more value on
-       every edge of the path (the precomputed prefix sum). *)
-    let marginal =
-      let acc = ref value_to_root.(node) in
-      let u = ref node in
-      while !u <> root do
-        if carried.(!u) = 0 then
-          acc := !acc +. cost.Sensor.Cost.per_message.(!u);
-        u := parent.(!u)
-      done;
-      !acc
-    in
-    if !current_cost +. marginal <= budget +. 1e-9 then begin
-      chosen.(node) <- true;
-      current_cost := !current_cost +. marginal;
-      let u = ref node in
-      while !u <> root do
-        carried.(!u) <- carried.(!u) + 1;
-        u := parent.(!u)
-      done;
-      true
-    end
-    else false
-  in
+  let pc = path_cost topo cost in
   (* Paper semantics: stop at the first candidate that does not fit. *)
   let rec add_all = function
     | [] -> ()
-    | node :: rest -> if try_add node then add_all rest
+    | node :: rest ->
+        if try_add pc ~budget node then begin
+          chosen.(node) <- true;
+          add_all rest
+        end
   in
   add_all candidates;
   chosen
+
+let fallback topo cost ~colsum ~budget =
+  let chosen = chosen_by_colsum topo cost ~colsum ~budget in
+  let root = topo.Sensor.Topology.root in
+  let objective = ref 0. in
+  Array.iteri
+    (fun i c ->
+      if c && i <> root then
+        objective := !objective +. float_of_int colsum.(i))
+    chosen;
+  (chosen, !objective)
 
 let plan topo cost samples ~budget =
   if budget < 0. then invalid_arg "Greedy.plan: negative budget";

@@ -28,3 +28,31 @@ val chosen_by_colsum :
     always chosen.  Also serves as the last-resort fallback of the
     {!Robust_plan} chain, where it replaces an LP solution that could not
     be certified. *)
+
+val fallback :
+  Sensor.Topology.t ->
+  Sensor.Cost.t ->
+  colsum:int array ->
+  budget:float ->
+  bool array * float
+(** {!chosen_by_colsum} together with the covered-ones count its selection
+    achieves on the samples (the chosen non-root nodes' column sums): the
+    LP planners' answer when no LP solution can be certified, scored in
+    the same currency as their LP objective. *)
+
+(** {1 Path-cost accumulator} *)
+
+type path_cost
+(** Static cost of a growing selection whose values each travel to the
+    root: the per-value cost of the whole path, plus a per-message cost on
+    every edge the selection was not already using. *)
+
+val path_cost : Sensor.Topology.t -> Sensor.Cost.t -> path_cost
+(** An empty selection, costing 0. *)
+
+val commit : path_cost -> int -> unit
+(** Add a node to the selection whatever it costs. *)
+
+val try_add : path_cost -> budget:float -> int -> bool
+(** Add the node if the selection's cost stays within [budget] (up to
+    1e-9); reports whether it was added. *)

@@ -14,13 +14,6 @@ type t = {
   lp_certified : bool;
 }
 
-(* Guarantee-tightness telemetry: how many bounds were computed, how much
-   slack they carry and how high the certified floor lands.  Gated like
-   every other registered instrument. *)
-let m_computed = Obs.Metrics.counter "guarantee.computed"
-let h_eps = Obs.Metrics.histogram "guarantee.eps"
-let h_lower = Obs.Metrics.histogram "guarantee.certified_lower"
-
 let family_rank = function
   | Hoeffding -> 0
   | Empirical_bernstein -> 1
@@ -171,9 +164,6 @@ let compute ?(delta = 1e-6) ?report ?objective topo cost plan ~k samples =
       lp_certified;
     }
   in
-  Obs.Metrics.incr m_computed;
-  Obs.Metrics.observe h_eps eps;
-  Obs.Metrics.observe h_lower certified_lower;
   if Obs.Trace.active () then
     Obs.Trace.emit Obs.Trace.Guarantee ~name:"planner.guarantee"
       [

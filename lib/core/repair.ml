@@ -9,14 +9,6 @@
    the LP layer's one shape predicate (Lp.Model.basis_compatible), applied
    inside Robust_plan.solve on the way to the solver. *)
 
-let m_surgeries = Obs.Metrics.counter "repair.surgeries"
-let m_unnecessary = Obs.Metrics.counter "repair.unnecessary"
-let m_repaired = Obs.Metrics.counter "repair.repaired"
-let m_refused_floor = Obs.Metrics.counter "repair.refused_floor"
-let m_refused_uncertified = Obs.Metrics.counter "repair.refused_uncertified"
-let m_install_mj = Obs.Metrics.fsum "repair.delta_install_mj"
-let t_surgery = Obs.Metrics.timer "repair.surgery"
-
 module Health = struct
   type t = {
     confirm_after : int;
@@ -152,12 +144,8 @@ let surgery ?warm_start ?max_lp_iterations ?lp_deadline ?(delta = 1e-6)
      was built for changed in a way that matters: a node it relied on
      went dark, or capacity it was denied came back. *)
   let affects = recovered <> [] || List.exists (fun i -> Plan.bandwidth current i > 0) newly in
-  if not affects then begin
-    Obs.Metrics.incr m_unnecessary;
-    Unnecessary
-  end
+  if not affects then Unnecessary
   else begin
-    Obs.Metrics.incr m_surgeries;
     let t0 = Obs.Trace.now () in
     let alive = Array.make n true in
     List.iter (fun i -> alive.(i) <- false) now_closure;
@@ -178,9 +166,6 @@ let surgery ?warm_start ?max_lp_iterations ?lp_deadline ?(delta = 1e-6)
         plan_w ~budget ~k
     in
     if r.Lp_lf.provenance = Robust_plan.Fell_back_greedy then begin
-      Obs.Metrics.incr m_refused_uncertified;
-      let dur = Obs.Trace.now () -. t0 in
-      Obs.Metrics.record_s t_surgery dur;
       emit_span ~t0 ~dead ~outcome_str:"refused_uncertified" ~dropped:0
         ~changed:0 ~floor:0. ~delta_mj:0.;
       Refused { reason = Uncertified; attempt = None }
@@ -214,7 +199,6 @@ let surgery ?warm_start ?max_lp_iterations ?lp_deadline ?(delta = 1e-6)
         *. Sensor.Mica2.plan_install_mj mica
       in
       let repair_s = Obs.Trace.now () -. t0 in
-      Obs.Metrics.record_s t_surgery repair_s;
       let rep =
         {
           plan = repaired_plan;
@@ -228,7 +212,6 @@ let surgery ?warm_start ?max_lp_iterations ?lp_deadline ?(delta = 1e-6)
         }
       in
       if g.Guarantee.certified_lower < min_floor then begin
-        Obs.Metrics.incr m_refused_floor;
         emit_span ~t0 ~dead ~outcome_str:"refused_floor"
           ~dropped:(List.length dropped) ~changed:(List.length changed)
           ~floor:g.Guarantee.certified_lower ~delta_mj:0.;
@@ -241,8 +224,6 @@ let surgery ?warm_start ?max_lp_iterations ?lp_deadline ?(delta = 1e-6)
           }
       end
       else begin
-        Obs.Metrics.incr m_repaired;
-        Obs.Metrics.accum m_install_mj delta_install_mj;
         emit_span ~t0 ~dead ~outcome_str:"repaired"
           ~dropped:(List.length dropped) ~changed:(List.length changed)
           ~floor:g.Guarantee.certified_lower ~delta_mj:delta_install_mj;

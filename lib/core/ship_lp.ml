@@ -65,15 +65,12 @@ let plan_by_colsum ?warm_start ?max_lp_iterations ?lp_deadline topo cost
       (* No certified LP solution (or a certified infeasible/unbounded
          verdict, which these always-feasible programs cannot honestly
          produce): plan combinatorially instead of crashing. *)
-      let chosen = Greedy.chosen_by_colsum topo cost ~colsum ~budget in
-      let lp_objective = ref 0. in
-      for i = 0 to n - 1 do
-        if chosen.(i) && i <> root then
-          lp_objective := !lp_objective +. float_of_int colsum.(i)
-      done;
+      let chosen, lp_objective =
+        Greedy.fallback topo cost ~colsum ~budget
+      in
       {
         chosen;
-        lp_objective = !lp_objective;
+        lp_objective;
         lp_stats = None;
         basis = None;
         provenance = Robust_plan.Fell_back_greedy;
@@ -89,30 +86,9 @@ let plan_by_colsum ?warm_start ?max_lp_iterations ?lp_deadline topo cost
      relaxation spreads mass below 1/2 — common on deep trees where many
      nodes share path costs.  Spend the remaining budget on the
      highest-valued fractional nodes, most promising first. *)
-  let carried = Array.make n 0 in
-  let current_cost = ref 0. in
-  let marginal node =
-    (* Per-value cost of the whole path at once, plus a per-message cost on
-       every edge not yet carrying traffic. *)
-    let acc = ref value_to_root.(node) in
-    let u = ref node in
-    while !u <> root do
-      if carried.(!u) = 0 then
-        acc := !acc +. cost.Sensor.Cost.per_message.(!u);
-      u := parent.(!u)
-    done;
-    !acc
-  in
-  let commit node =
-    current_cost := !current_cost +. marginal node;
-    let u = ref node in
-    while !u <> root do
-      carried.(!u) <- carried.(!u) + 1;
-      u := parent.(!u)
-    done
-  in
+  let spent = Greedy.path_cost topo cost in
   for i = 0 to n - 1 do
-    if chosen.(i) && i <> root then commit i
+    if chosen.(i) && i <> root then Greedy.commit spent i
   done;
   let fractional_candidates =
     List.init n (fun i -> i)
@@ -127,11 +103,7 @@ let plan_by_colsum ?warm_start ?max_lp_iterations ?lp_deadline topo cost
              (Lp.Model.value sol (getx a)))
   in
   List.iter
-    (fun i ->
-      if !current_cost +. marginal i <= budget +. 1e-9 then begin
-        chosen.(i) <- true;
-        commit i
-      end)
+    (fun i -> if Greedy.try_add spent ~budget i then chosen.(i) <- true)
     fractional_candidates;
   {
     chosen;

@@ -17,7 +17,7 @@ let status_equal a b =
       true
   | (Optimal | Infeasible | Unbounded | Iteration_limit), _ -> false
 
-type row = { terms : (float * var) list; sense : sense; rhs : float; rname : string }
+type row = { terms : (float * var) list; sense : sense; rhs : float }
 
 type t = {
   dir : direction;
@@ -41,13 +41,6 @@ and finalized = {
 }
 
 type basis = { b_nvars : int; b_nrows : int; rb : Revised.basis }
-
-let m_warm_supplied = Obs.Metrics.counter "lp.model.warm_supplied"
-let m_warm_used = Obs.Metrics.counter "lp.model.warm_used"
-let m_warm_shape_mismatch = Obs.Metrics.counter "lp.model.warm_shape_mismatch"
-let m_certified = Obs.Metrics.counter "lp.model.certified"
-let m_cert_rejected = Obs.Metrics.counter "lp.model.certify_rejected"
-let t_certify = Obs.Metrics.timer "lp.model.certify_s"
 
 type solution = {
   status : status;
@@ -111,18 +104,18 @@ let set_obj t v c =
   if v < 0 || v >= t.nvars then invalid_arg "Model.set_obj: unknown var";
   t.objs.(v) <- c
 
-let add_constraint t ?(name = "") terms sense rhs =
+let add_constraint t terms sense rhs =
   List.iter
     (fun (_, v) ->
       if v < 0 || v >= t.nvars then
         invalid_arg "Model.add_constraint: unknown var")
     terms;
-  t.rows <- { terms; sense; rhs; rname = name } :: t.rows;
+  t.rows <- { terms; sense; rhs } :: t.rows;
   t.nrows <- t.nrows + 1
 
-let add_le t ?name terms rhs = add_constraint t ?name terms Le rhs
-let add_ge t ?name terms rhs = add_constraint t ?name terms Ge rhs
-let add_eq t ?name terms rhs = add_constraint t ?name terms Eq rhs
+let add_le t terms rhs = add_constraint t terms Le rhs
+let add_ge t terms rhs = add_constraint t terms Ge rhs
+let add_eq t terms rhs = add_constraint t terms Eq rhs
 
 let n_vars t = t.nvars
 let n_constraints t = t.nrows
@@ -223,15 +216,8 @@ let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
      shared {!basis_compatible} predicate decides. *)
   let basis =
     match warm_start with
-    | Some w when basis_compatible t w ->
-        Obs.Metrics.incr m_warm_supplied;
-        Obs.Metrics.incr m_warm_used;
-        Some w.rb
-    | Some _ ->
-        Obs.Metrics.incr m_warm_supplied;
-        Obs.Metrics.incr m_warm_shape_mismatch;
-        None
-    | None -> None
+    | Some w when basis_compatible t w -> Some w.rb
+    | Some _ | None -> None
   in
   let res = Revised.solve ?max_iterations ?deadline ?bland_after ?basis prob in
   (* Internal duals are for the minimized objective; convert to the
@@ -367,8 +353,7 @@ let solve ?(solver = `Revised) ?max_iterations ?deadline ?bland_after
 let solve_certified ?max_iterations ?deadline ?bland_after ?warm_start t =
   let prob, res, sol = solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t in
   let certify_t0 =
-    if Obs.Metrics.enabled () || Obs.Trace.active () then Obs.Trace.now ()
-    else 0.
+    if Obs.Trace.active () then Obs.Trace.now () else 0.
   in
   let report =
     match res.Revised.status with
@@ -387,11 +372,8 @@ let solve_certified ?max_iterations ?deadline ?bland_after ?warm_start t =
     | Revised.Iteration_limit ->
         Certify.reject "iteration/time budget exhausted before optimality"
   in
-  if Obs.Metrics.enabled () || Obs.Trace.active () then begin
+  if Obs.Trace.active () then begin
     let dur = Obs.Trace.now () -. certify_t0 in
-    Obs.Metrics.incr m_certified;
-    if not report.Certify.certified then Obs.Metrics.incr m_cert_rejected;
-    Obs.Metrics.record_s t_certify dur;
     Obs.Trace.emit Obs.Trace.Certify ~name:"lp.model" ~start_s:certify_t0
       ~dur_s:dur
       [

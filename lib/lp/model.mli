@@ -75,13 +75,13 @@ val var_name : t -> var -> string
 val set_obj : t -> var -> float -> unit
 (** Overwrite the objective coefficient of a variable. *)
 
-val add_constraint : t -> ?name:string -> (float * var) list -> sense -> float -> unit
+val add_constraint : t -> (float * var) list -> sense -> float -> unit
 (** [add_constraint t terms sense rhs] adds [sum coeff*var  <sense>  rhs].
     Duplicate variables in [terms] are summed. *)
 
-val add_le : t -> ?name:string -> (float * var) list -> float -> unit
-val add_ge : t -> ?name:string -> (float * var) list -> float -> unit
-val add_eq : t -> ?name:string -> (float * var) list -> float -> unit
+val add_le : t -> (float * var) list -> float -> unit
+val add_ge : t -> (float * var) list -> float -> unit
+val add_eq : t -> (float * var) list -> float -> unit
 
 val n_vars : t -> int
 val n_constraints : t -> int

@@ -2,31 +2,11 @@ let src = Logs.Src.create "lp.revised" ~doc:"Revised simplex"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-(* Process-wide telemetry (lib/obs): cumulative solver counters, the solve
-   latency histogram and one [Solve] trace span per call.  All of it is
-   gated — with telemetry disabled and no sink installed the only cost is
-   the per-solve [Obs.Metrics.enabled] check.  The per-solve [stats]
-   record is carried by ungated local counters so its public accessors
-   stay exact either way. *)
-let m_solves = Obs.Metrics.counter "lp.revised.solves"
-
-let m_pivots = Obs.Metrics.counter "lp.revised.pivots"
-
-let m_phase1_pivots = Obs.Metrics.counter "lp.revised.phase1_pivots"
-
-let m_refactorizations = Obs.Metrics.counter "lp.revised.refactorizations"
-
-let m_drift = Obs.Metrics.counter "lp.revised.drift_refactorizations"
-
-let m_growth = Obs.Metrics.counter "lp.revised.growth_refactorizations"
-
-let m_degenerate = Obs.Metrics.counter "lp.revised.degenerate_pivots"
-
-let m_bound_flips = Obs.Metrics.counter "lp.revised.bound_flips"
-
-let m_warm_attempts = Obs.Metrics.counter "lp.revised.warm_attempts"
-
-let t_solve = Obs.Metrics.timer "lp.revised.solve_s"
+(* Telemetry is one [Solve] trace span per call, emitted only while an
+   [Obs.Trace] sink is installed; with none the only cost is the
+   per-solve [Obs.Trace.active] check.  The per-solve [stats] record is
+   carried by plain counters in the solver state, so it is exact
+   whether or not a sink is installed. *)
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit
 
@@ -105,15 +85,14 @@ type state = {
   wnz : int array;  (* scratch: nonzero slots of the current FTRAN column *)
   mutable n_wnz : int;
   (* -- counters / controls --
-     Per-solve stats live in ungated obs counters: they are part of the
-     public [stats] contract and must count with telemetry off. *)
-  iterations : Obs.Metrics.counter;
-  phase1_iterations : Obs.Metrics.counter;
-  refactorizations : Obs.Metrics.counter;
-  drift_refactorizations : Obs.Metrics.counter;
-  growth_refactorizations : Obs.Metrics.counter;
-  degenerate_pivots : Obs.Metrics.counter;
-  bound_flips : Obs.Metrics.counter;
+     The counters are the public per-solve [stats]. *)
+  mutable iterations : int;
+  mutable phase1_iterations : int;
+  mutable refactorizations : int;
+  mutable drift_refactorizations : int;
+  mutable growth_refactorizations : int;
+  mutable degenerate_pivots : int;
+  mutable bound_flips : int;
   mutable consecutive_degenerate : int;
   mutable bland : bool;
   mutable pivots_since_drift_check : int;
@@ -182,7 +161,7 @@ let refactorize st =
   st.n_etas <- 0;
   st.eta_nnz <- 0;
   st.lu_fill <- Lu.fill_nnz st.lu;
-  Obs.Metrics.incr st.refactorizations;
+  st.refactorizations <- st.refactorizations + 1;
   (* Invalidate pricing caches: the fresh factorization purges drift, so
      reduced costs are recomputed from scratch on the next pricing call. *)
   st.epoch <- st.epoch + 1;
@@ -394,7 +373,7 @@ let apply_flip st q dir w =
   done;
   st.at_upper.(q) <- not st.at_upper.(q);
   st.xval.(q) <- (if st.at_upper.(q) then st.upper.(q) else st.lower.(q));
-  Obs.Metrics.incr st.bound_flips
+  st.bound_flips <- st.bound_flips + 1
 (* A bound flip keeps the basis, so cached duals and reduced costs stay
    valid: no epoch bump. *)
 
@@ -480,7 +459,7 @@ let apply_pivot st q dir w slot t to_upper =
   done;
   push_eta st { slot; wp; rows; vals };
   if t <= 1e-10 then begin
-    Obs.Metrics.incr st.degenerate_pivots;
+    st.degenerate_pivots <- st.degenerate_pivots + 1;
     st.consecutive_degenerate <- st.consecutive_degenerate + 1
   end
   else st.consecutive_degenerate <- 0;
@@ -495,7 +474,7 @@ let apply_pivot st q dir w slot t to_upper =
        fill than a fresh factorization would carry, so solves are both
        slower and numerically staler than a refactorization.  Fold them
        in early rather than waiting for the fixed interval. *)
-    Obs.Metrics.incr st.growth_refactorizations;
+    st.growth_refactorizations <- st.growth_refactorizations + 1;
     refactorize st
   end
 
@@ -536,7 +515,7 @@ let ftran_checked st q =
     if worst > drift_tol *. (1. +. Sparse_vec.max_abs st.cols.(q)) then begin
       Log.debug (fun f ->
           f "FTRAN residual %.3g after %d etas: refactorizing" worst st.n_etas);
-      Obs.Metrics.incr st.drift_refactorizations;
+      st.drift_refactorizations <- st.drift_refactorizations + 1;
       refactorize st;
       ftran st (spread st q)
     end
@@ -565,7 +544,7 @@ let optimize st c ~phase1 ~max_iterations =
     banned_list := []
   in
   let rec loop () =
-    if Obs.Metrics.value st.iterations >= max_iterations || past_deadline st
+    if st.iterations >= max_iterations || past_deadline st
     then Iteration_limit
     else
       match price st c with
@@ -599,8 +578,8 @@ let optimize st c ~phase1 ~max_iterations =
                 Unbounded
               end
           | Flip ->
-              Obs.Metrics.incr st.iterations;
-              if phase1 then Obs.Metrics.incr st.phase1_iterations;
+              st.iterations <- st.iterations + 1;
+              if phase1 then st.phase1_iterations <- st.phase1_iterations + 1;
               apply_flip st q dir w;
               clear_bans ();
               loop ()
@@ -617,8 +596,8 @@ let optimize st c ~phase1 ~max_iterations =
                 loop ()
               end
               else begin
-                Obs.Metrics.incr st.iterations;
-                if phase1 then Obs.Metrics.incr st.phase1_iterations;
+                st.iterations <- st.iterations + 1;
+                if phase1 then st.phase1_iterations <- st.phase1_iterations + 1;
                 apply_pivot st q dir w slot t to_upper;
                 clear_bans ();
                 loop ()
@@ -664,13 +643,13 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
     since_refill = 0;
     wnz = Array.make m 0;
     n_wnz = 0;
-    iterations = Obs.Metrics.local "iterations";
-    phase1_iterations = Obs.Metrics.local "phase1_iterations";
-    refactorizations = Obs.Metrics.local "refactorizations";
-    drift_refactorizations = Obs.Metrics.local "drift_refactorizations";
-    growth_refactorizations = Obs.Metrics.local "growth_refactorizations";
-    degenerate_pivots = Obs.Metrics.local "degenerate_pivots";
-    bound_flips = Obs.Metrics.local "bound_flips";
+    iterations = 0;
+    phase1_iterations = 0;
+    refactorizations = 0;
+    drift_refactorizations = 0;
+    growth_refactorizations = 0;
+    degenerate_pivots = 0;
+    bound_flips = 0;
     consecutive_degenerate = 0;
     bland = false;
     pivots_since_drift_check = 0;
@@ -720,15 +699,13 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
       basis;
       stats =
         {
-          iterations = Obs.Metrics.value st.iterations;
-          phase1_iterations = Obs.Metrics.value st.phase1_iterations;
-          refactorizations = Obs.Metrics.value st.refactorizations;
-          drift_refactorizations =
-            Obs.Metrics.value st.drift_refactorizations;
-          growth_refactorizations =
-            Obs.Metrics.value st.growth_refactorizations;
-          degenerate_pivots = Obs.Metrics.value st.degenerate_pivots;
-          bound_flips = Obs.Metrics.value st.bound_flips;
+          iterations = st.iterations;
+          phase1_iterations = st.phase1_iterations;
+          refactorizations = st.refactorizations;
+          drift_refactorizations = st.drift_refactorizations;
+          growth_refactorizations = st.growth_refactorizations;
+          degenerate_pivots = st.degenerate_pivots;
+          bound_flips = st.bound_flips;
         };
       farkas = (if status = Infeasible then farkas else None);
       ray;
@@ -952,41 +929,30 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
   let dispatch () =
     match warm with
     | Some wb when warm_usable wb -> (
-        Obs.Metrics.incr m_warm_attempts;
         try solve_warm wb with Warm_start_failed -> solve_cold ())
     | _ -> solve_cold ()
   in
-  if not (Obs.Metrics.enabled () || Obs.Trace.active ()) then dispatch ()
+  if not (Obs.Trace.active ()) then dispatch ()
   else begin
     let t0 = Obs.Trace.now () in
     let res = dispatch () in
     let dur = Obs.Trace.now () -. t0 in
-    Obs.Metrics.incr m_solves;
-    Obs.Metrics.add m_pivots res.stats.iterations;
-    Obs.Metrics.add m_phase1_pivots res.stats.phase1_iterations;
-    Obs.Metrics.add m_refactorizations res.stats.refactorizations;
-    Obs.Metrics.add m_drift res.stats.drift_refactorizations;
-    Obs.Metrics.add m_growth res.stats.growth_refactorizations;
-    Obs.Metrics.add m_degenerate res.stats.degenerate_pivots;
-    Obs.Metrics.add m_bound_flips res.stats.bound_flips;
-    Obs.Metrics.record_s t_solve dur;
-    if Obs.Trace.active () then
-      Obs.Trace.emit Obs.Trace.Solve ~name:"lp.revised" ~start_s:t0
-        ~dur_s:dur
-        [
-          ("status", Obs.Trace.Str (status_to_string res.status));
-          ("rows", Obs.Trace.Int m);
-          ("cols", Obs.Trace.Int n);
-          ("iterations", Obs.Trace.Int res.stats.iterations);
-          ("phase1_iterations", Obs.Trace.Int res.stats.phase1_iterations);
-          ("refactorizations", Obs.Trace.Int res.stats.refactorizations);
-          ( "drift_refactorizations",
-            Obs.Trace.Int res.stats.drift_refactorizations );
-          ( "growth_refactorizations",
-            Obs.Trace.Int res.stats.growth_refactorizations );
-          ("degenerate_pivots", Obs.Trace.Int res.stats.degenerate_pivots);
-          ("bound_flips", Obs.Trace.Int res.stats.bound_flips);
-          ("warm", Obs.Trace.Bool (warm <> None));
-        ];
+    Obs.Trace.emit Obs.Trace.Solve ~name:"lp.revised" ~start_s:t0
+      ~dur_s:dur
+      [
+        ("status", Obs.Trace.Str (status_to_string res.status));
+        ("rows", Obs.Trace.Int m);
+        ("cols", Obs.Trace.Int n);
+        ("iterations", Obs.Trace.Int res.stats.iterations);
+        ("phase1_iterations", Obs.Trace.Int res.stats.phase1_iterations);
+        ("refactorizations", Obs.Trace.Int res.stats.refactorizations);
+        ( "drift_refactorizations",
+          Obs.Trace.Int res.stats.drift_refactorizations );
+        ( "growth_refactorizations",
+          Obs.Trace.Int res.stats.growth_refactorizations );
+        ("degenerate_pivots", Obs.Trace.Int res.stats.degenerate_pivots);
+        ("bound_flips", Obs.Trace.Int res.stats.bound_flips);
+        ("warm", Obs.Trace.Bool (warm <> None));
+      ];
     res
   end

@@ -11,11 +11,11 @@ type row = {
   attr_sums : (string * float) list; (* numeric attrs only, summed *)
 }
 
-type t = { rows : row list; dur_hists : (Trace.kind * Metrics.histogram) list }
+type t = { rows : row list; dur_hists : (Trace.kind * Histogram.t) list }
 
 let of_events evs =
   let tbl : (Trace.kind * string, row) Hashtbl.t = Hashtbl.create 16 in
-  let hists : (Trace.kind, Metrics.histogram) Hashtbl.t = Hashtbl.create 8 in
+  let hists : (Trace.kind, Histogram.t) Hashtbl.t = Hashtbl.create 8 in
   List.iter
     (fun (e : Trace.event) ->
       let key = (e.Trace.kind, e.Trace.name) in
@@ -54,15 +54,11 @@ let of_events evs =
         match Hashtbl.find_opt hists e.Trace.kind with
         | Some h -> h
         | None ->
-            let h =
-              Metrics.local_histogram
-                (Printf.sprintf "report.%s.dur_s"
-                   (Trace.kind_to_string e.Trace.kind))
-            in
+            let h = Histogram.create () in
             Hashtbl.replace hists e.Trace.kind h;
             h
       in
-      if e.Trace.dur_s > 0. then Metrics.observe h e.Trace.dur_s)
+      if e.Trace.dur_s > 0. then Histogram.observe h e.Trace.dur_s)
     evs;
   (* Canonical order everywhere downstream (pp, the JSONL exporter, the
      benchmark ledger): rows by (kind, name), attr totals by key,
@@ -106,14 +102,14 @@ let pp ppf t =
     t.rows;
   List.iter
     (fun (k, h) ->
-      if Metrics.hist_count h > 0 then
+      if Histogram.hist_count h > 0 then
         Format.fprintf ppf
           "%s durations: n=%d p50=%.3fms p90=%.3fms p99=%.3fms max=%.3fms@,"
-          (Trace.kind_to_string k) (Metrics.hist_count h)
-          (1000. *. Metrics.percentile h 50.)
-          (1000. *. Metrics.percentile h 90.)
-          (1000. *. Metrics.percentile h 99.)
-          (1000. *. Metrics.hist_max h))
+          (Trace.kind_to_string k) (Histogram.hist_count h)
+          (1000. *. Histogram.percentile h 50.)
+          (1000. *. Histogram.percentile h 90.)
+          (1000. *. Histogram.percentile h 99.)
+          (1000. *. Histogram.hist_max h))
     t.dur_hists;
   List.iter
     (fun r ->

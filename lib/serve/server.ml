@@ -93,18 +93,6 @@ type t = {
   mutable s_solves : int;
 }
 
-(* Gated mirrors of the always-on tallies; incremented coordinator-side
-   only (the Obs registry is single-domain). *)
-let m_queries = Obs.Metrics.counter "serve.queries"
-let m_batches = Obs.Metrics.counter "serve.batches"
-let m_cache_hits = Obs.Metrics.counter "serve.cache_hits"
-let m_range_hits = Obs.Metrics.counter "serve.range_hits"
-let m_pool_hits = Obs.Metrics.counter "serve.pool_hits"
-let m_cold = Obs.Metrics.counter "serve.cold_misses"
-let m_coalesced = Obs.Metrics.counter "serve.coalesced"
-let m_refused = Obs.Metrics.counter "serve.refused"
-let t_batch = Obs.Metrics.timer "serve.batch_s"
-
 let create ?(config = default_config) () =
   if config.batch < 1 then invalid_arg "Server.create: batch < 1";
   if config.domains < 1 then invalid_arg "Server.create: domains < 1";
@@ -288,8 +276,8 @@ let admit t queries =
 (* Execution                                                           *)
 
 let effective_domains t ntasks =
-  (* the Obs registry and trace sink are single-domain by design *)
-  if Obs.Metrics.enabled () || Obs.Trace.active () then 1
+  (* the trace sink is single-domain by design *)
+  if Obs.Trace.active () then 1
   else Int.max 1 (Int.min t.config.domains ntasks)
 
 let run_tasks t tasks =
@@ -445,38 +433,21 @@ let run_batch t queries outcomes ~offset ~len =
             | Refused _ as o -> (o, key, "refused"))
       in
       t.s_queries <- t.s_queries + 1;
-      Obs.Metrics.incr m_queries;
       (match outcome with
-      | Refused _ ->
-          t.s_refused <- t.s_refused + 1;
-          Obs.Metrics.incr m_refused
-      | Served r ->
-          if r.coalesced then begin
-            t.s_coalesced <- t.s_coalesced + 1;
-            Obs.Metrics.incr m_coalesced
-          end
-          else begin
+      | Refused _ -> t.s_refused <- t.s_refused + 1
+      | Served r -> (
+          if r.coalesced then t.s_coalesced <- t.s_coalesced + 1
+          else
             match r.source with
-            | Cache_hit ->
-                t.s_cache_hits <- t.s_cache_hits + 1;
-                Obs.Metrics.incr m_cache_hits
-            | Range_hit ->
-                t.s_range_hits <- t.s_range_hits + 1;
-                Obs.Metrics.incr m_range_hits
-            | Pool_warm ->
-                t.s_pool_hits <- t.s_pool_hits + 1;
-                Obs.Metrics.incr m_pool_hits
-            | Cold ->
-                t.s_cold <- t.s_cold + 1;
-                Obs.Metrics.incr m_cold
-          end);
+            | Cache_hit -> t.s_cache_hits <- t.s_cache_hits + 1
+            | Range_hit -> t.s_range_hits <- t.s_range_hits + 1
+            | Pool_warm -> t.s_pool_hits <- t.s_pool_hits + 1
+            | Cold -> t.s_cold <- t.s_cold + 1));
       push_trace t key tag;
       outcomes.(offset + i) <- outcome)
     decisions;
   t.s_batches <- t.s_batches + 1;
-  Obs.Metrics.incr m_batches;
   let dur = Obs.Trace.now () -. t0 in
-  Obs.Metrics.record_s t_batch dur;
   Obs.Trace.emit Serve ~name:"serve.batch" ~start_s:t0 ~dur_s:dur
     [
       ("queries", Obs.Trace.Int len);

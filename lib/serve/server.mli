@@ -29,17 +29,19 @@
     order even though the claimant identities are timing-dependent.
 
     {b Telemetry}: the server keeps its own always-on tallies ({!stats})
-    and mirrors them to gated [serve.*] Obs counters, with one [Serve]
-    trace span per admission batch.  The Obs registry is single-domain by
-    design, so while telemetry or tracing is enabled the server runs its
-    solves inline (effective [domains] = 1); parallel fan-out is for the
-    telemetry-off serving configuration. *)
+    and emits one [Serve] trace span per admission batch.  The trace sink
+    is single-domain by design, so while one is installed the server runs
+    its solves inline (effective [domains] = 1, as each [serve.batch] span
+    reports); parallel fan-out is for the untraced serving
+    configuration. *)
 
 type config = {
   cache_capacity : int;  (** exact plan-cache entries (and families); 0 disables *)
   pool_capacity : int;  (** warm-basis pool entries per LP shape; 0 disables *)
   batch : int;  (** admission batch size *)
-  domains : int;  (** worker domains for miss fan-out (>= 1) *)
+  domains : int;
+      (** worker domains for miss fan-out (>= 1); 1 while an [Obs.Trace]
+          sink is installed *)
   max_lp_iterations : int option;  (** per-solve pivot cap (tests) *)
   lp_deadline : float option;  (** per-solve wall-clock budget, seconds *)
 }
@@ -127,7 +129,7 @@ type stats = {
 }
 
 val stats : t -> stats
-(** Always-on tallies since creation (independent of Obs gating). *)
+(** Always-on tallies since creation. *)
 
 val trace : t -> (string * string) list
 (** One [(exact fingerprint key, tag)] pair per admitted query, in

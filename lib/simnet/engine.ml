@@ -48,17 +48,10 @@ type 'msg t = {
   mutable epochs : int;
 }
 
-(* Process-wide telemetry: gated counters mirror the per-instance ledgers
-   so a whole run's traffic shows up in one [Obs.Metrics.snapshot];
-   the per-instance fields keep backing the public accessors exactly. *)
-let m_unicasts = Obs.Metrics.counter "simnet.unicasts"
-let m_broadcasts = Obs.Metrics.counter "simnet.broadcasts"
-let m_retransmissions = Obs.Metrics.counter "simnet.retransmissions"
-let m_bytes = Obs.Metrics.counter "simnet.bytes_sent"
-let m_dropped = Obs.Metrics.counter "simnet.dropped_frames"
-let m_gave_up = Obs.Metrics.counter "simnet.gave_up"
-let m_epochs = Obs.Metrics.counter "simnet.epochs"
-let f_energy = Obs.Metrics.fsum "simnet.energy_mj"
+(* The per-instance ledgers above (and the fault counters) are the one
+   record of traffic: they back the public accessors, and [run] reports
+   each collection round's deltas as one [Epoch] trace span while a sink
+   is installed. *)
 
 (* Fixed MAC overhead per transmission, seconds. *)
 let mac_delay = 0.005
@@ -161,8 +154,6 @@ let unicast t ~src ~dst msg =
       charge_unicast t ~src ~dst ~bytes ~multiplier;
       t.unicasts <- t.unicasts + 1;
       t.bytes_sent <- t.bytes_sent + bytes;
-      Obs.Metrics.incr m_unicasts;
-      Obs.Metrics.add m_bytes bytes;
       Event_queue.add t.queue
         ~time:(t.now +. transmission_delay t bytes +. extra_delay)
         (Deliver { dst; src; msg })
@@ -178,8 +169,6 @@ let unicast t ~src ~dst msg =
         t.energy.(src) <- t.energy.(src) +. (total *. share);
         t.unicasts <- t.unicasts + 1;
         t.bytes_sent <- t.bytes_sent + bytes;
-        Obs.Metrics.incr m_unicasts;
-        Obs.Metrics.add m_bytes bytes;
         let recv_mj = total *. (1. -. share) in
         let seq = Reliable.alloc_seq fc.links ~src ~dst in
         let rto0 =
@@ -231,9 +220,7 @@ let broadcast_to t ~src kids msg =
   t.broadcasts <- t.broadcasts + 1;
   (* One transmission on the air regardless of how many ACK machines
      track it. *)
-  t.bytes_sent <- t.bytes_sent + bytes;
-  Obs.Metrics.incr m_broadcasts;
-  Obs.Metrics.add m_bytes bytes
+  t.bytes_sent <- t.bytes_sent + bytes
 
 let broadcast t ~src msg =
   broadcast_to t ~src t.topo.Sensor.Topology.children.(src) msg
@@ -276,12 +263,10 @@ let deliver t ~dst ~src msg =
 let frame_arrives t fc ~src ~dst ~at =
   if not (Fault.node_up (Fault.config fc.fstate) ~node:dst ~at) then begin
     fc.dropped <- fc.dropped + 1;
-    Obs.Metrics.incr m_dropped;
     false
   end
   else if Fault.drops_frame fc.fstate ~edge:(edge_of t src dst) ~at then begin
     fc.dropped <- fc.dropped + 1;
-    Obs.Metrics.incr m_dropped;
     false
   end
   else true
@@ -310,7 +295,6 @@ let handle_retransmit t fc ~time:_ ~src ~dst ~seq =
         Reliable.ack fc.links ~src ~dst ~seq;
         Reliable.mark_dead fc.links ~src ~dst;
         fc.gave_up <- fc.gave_up + 1;
-        Obs.Metrics.incr m_gave_up;
         Event_queue.add t.queue ~time:t.now
           (GaveUp { src; dst; msg = p.Reliable.msg })
       end
@@ -319,9 +303,6 @@ let handle_retransmit t fc ~time:_ ~src ~dst ~seq =
         fc.retransmissions <- fc.retransmissions + 1;
         t.unicasts <- t.unicasts + 1;
         t.bytes_sent <- t.bytes_sent + p.Reliable.bytes;
-        Obs.Metrics.incr m_retransmissions;
-        Obs.Metrics.incr m_unicasts;
-        Obs.Metrics.add m_bytes p.Reliable.bytes;
         if Obs.Trace.active () then
           Obs.Trace.emit Obs.Trace.Retransmit ~name:"simnet.engine"
             [
@@ -363,7 +344,7 @@ let fault_ctx t ~event ~src ~dst =
 let run ?(max_events = 10_000_000) t =
   (* Snapshot the ledgers so the epoch span reports this run's deltas even
      when the same engine executes several collection rounds. *)
-  let telemetry = Obs.Metrics.enabled () || Obs.Trace.active () in
+  let telemetry = Obs.Trace.active () in
   let wall0 = if telemetry then Obs.Trace.now () else 0. in
   let sim0 = t.now
   and u0 = t.unicasts
@@ -419,27 +400,24 @@ let run ?(max_events = 10_000_000) t =
   t.epochs <- t.epochs + 1;
   if telemetry then begin
     let e1 = Array.fold_left ( +. ) 0. t.energy in
-    Obs.Metrics.incr m_epochs;
-    Obs.Metrics.accum f_energy (e1 -. e0);
-    if Obs.Trace.active () then
-      Obs.Trace.emit Obs.Trace.Epoch ~name:"simnet.engine" ~start_s:wall0
-        ~dur_s:(Obs.Trace.now () -. wall0)
-        [
-          ("epoch", Obs.Trace.Int (t.epochs - 1));
-          ("unicasts", Obs.Trace.Int (t.unicasts - u0));
-          ("broadcasts", Obs.Trace.Int (t.broadcasts - b0));
-          ("bytes", Obs.Trace.Int (t.bytes_sent - by0));
-          ("reroutes", Obs.Trace.Int (t.reroutes - rr0));
-          ( "retransmissions",
-            Obs.Trace.Int (fault_stat t (fun fc -> fc.retransmissions) - r0)
-          );
-          ("dropped", Obs.Trace.Int (fault_stat t (fun fc -> fc.dropped) - d0));
-          ( "duplicates",
-            Obs.Trace.Int (fault_stat t (fun fc -> fc.duplicates) - du0) );
-          ("gave_up", Obs.Trace.Int (fault_stat t (fun fc -> fc.gave_up) - g0));
-          ("energy_mj", Obs.Trace.Float (e1 -. e0));
-          ("sim_time_s", Obs.Trace.Float (finished -. sim0));
-        ]
+    Obs.Trace.emit Obs.Trace.Epoch ~name:"simnet.engine" ~start_s:wall0
+      ~dur_s:(Obs.Trace.now () -. wall0)
+      [
+        ("epoch", Obs.Trace.Int (t.epochs - 1));
+        ("unicasts", Obs.Trace.Int (t.unicasts - u0));
+        ("broadcasts", Obs.Trace.Int (t.broadcasts - b0));
+        ("bytes", Obs.Trace.Int (t.bytes_sent - by0));
+        ("reroutes", Obs.Trace.Int (t.reroutes - rr0));
+        ( "retransmissions",
+          Obs.Trace.Int (fault_stat t (fun fc -> fc.retransmissions) - r0)
+        );
+        ("dropped", Obs.Trace.Int (fault_stat t (fun fc -> fc.dropped) - d0));
+        ( "duplicates",
+          Obs.Trace.Int (fault_stat t (fun fc -> fc.duplicates) - du0) );
+        ("gave_up", Obs.Trace.Int (fault_stat t (fun fc -> fc.gave_up) - g0));
+        ("energy_mj", Obs.Trace.Float (e1 -. e0));
+        ("sim_time_s", Obs.Trace.Float (finished -. sim0));
+      ]
   end;
   finished
 

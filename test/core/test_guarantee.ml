@@ -607,27 +607,6 @@ let test_replan_refuses_unmet_target () =
       Alcotest.fail "disseminated a plan whose target was not certified");
   Alcotest.(check int) "no replans recorded" 0 (Prospector.Replan.replans state)
 
-(* ---------- telemetry ---------- *)
-
-let test_guarantee_telemetry () =
-  let topo, cost, _, plan, k, samples = fixed_instance 19 in
-  Obs.Metrics.reset ();
-  Obs.Metrics.set_enabled true;
-  Fun.protect
-    ~finally:(fun () ->
-      Obs.Metrics.set_enabled false;
-      Obs.Metrics.reset ())
-    (fun () ->
-      ignore (Prospector.Guarantee.compute topo cost plan ~k samples);
-      Alcotest.(check int) "guarantee.computed counts" 1
-        (Obs.Metrics.value (Obs.Metrics.counter "guarantee.computed"));
-      Alcotest.(check int) "guarantee.eps observed" 1
-        (Obs.Metrics.hist_count (Obs.Metrics.histogram "guarantee.eps"));
-      ignore (plan_with_target topo cost samples ~k ~budget:4. ~eps:1e-4 ~delta:1e-3);
-      Alcotest.(check int) "unattainable target counted" 1
-        (Obs.Metrics.value
-           (Obs.Metrics.counter "guarantee.target_unattainable")))
-
 let () =
   Alcotest.run "guarantee"
     [
@@ -675,6 +654,5 @@ let () =
             test_lp_lf_guarantee_deterministic;
           Alcotest.test_case "replan refuses unmet target" `Quick
             test_replan_refuses_unmet_target;
-          Alcotest.test_case "telemetry" `Quick test_guarantee_telemetry;
         ] );
     ]

@@ -1,48 +1,18 @@
-(* Unit tests for the lib/obs telemetry stack: gating semantics of the
-   metrics registry, histogram percentile/merge math, trace round-trips
-   through the JSON-lines exporter, and an end-to-end check that a lossy
-   simnet run's trace agrees with the engine's own energy ledger. *)
+(* Unit tests for the lib/obs telemetry stack: histogram percentile/merge
+   math, trace round-trips through the JSON-lines exporter, and an
+   end-to-end check that a lossy simnet run's trace agrees with the
+   engine's own energy ledger. *)
 
-let cleanup () =
-  Obs.Metrics.set_enabled false;
-  Obs.Metrics.reset ();
-  Obs.Trace.install None
+let cleanup () = Obs.Trace.install None
 
 let with_clean f () = Fun.protect ~finally:cleanup f
 
-(* ---- metrics ---- *)
-
-let test_gated_counter () =
-  let c = Obs.Metrics.counter "test.gated" in
-  Obs.Metrics.incr c;
-  Alcotest.(check int) "disabled incr is a no-op" 0 (Obs.Metrics.value c);
-  Obs.Metrics.set_enabled true;
-  Obs.Metrics.incr c;
-  Obs.Metrics.add c 4;
-  Alcotest.(check int) "enabled counts" 5 (Obs.Metrics.value c);
-  let c' = Obs.Metrics.counter "test.gated" in
-  Alcotest.(check int) "interned by name" 5 (Obs.Metrics.value c');
-  Obs.Metrics.reset ();
-  Alcotest.(check int) "reset zeroes" 0 (Obs.Metrics.value c)
-
-let test_local_counter () =
-  let c = Obs.Metrics.local "test.local" in
-  Obs.Metrics.incr c;
-  Obs.Metrics.incr c;
-  Alcotest.(check int) "local counts while disabled" 2 (Obs.Metrics.value c);
-  let c' = Obs.Metrics.local "test.local" in
-  Alcotest.(check int) "local counters are fresh, not interned" 0
-    (Obs.Metrics.value c');
-  Obs.Metrics.set_enabled true;
-  Obs.Metrics.reset ();
-  Alcotest.(check int) "registry reset leaves locals alone" 2
-    (Obs.Metrics.value c)
+(* ---- histograms ---- *)
 
 let test_histogram_single () =
-  Obs.Metrics.set_enabled true;
-  let h = Obs.Metrics.histogram "test.hist.single" in
-  Obs.Metrics.observe h 0.0042;
-  Alcotest.(check int) "count" 1 (Obs.Metrics.hist_count h);
+  let h = Obs.Histogram.create () in
+  Obs.Histogram.observe h 0.0042;
+  Alcotest.(check int) "count" 1 (Obs.Histogram.hist_count h);
   (* Clamping to the observed extremes makes one sample exact at every
      percentile, not just somewhere inside its log bucket. *)
   List.iter
@@ -50,19 +20,18 @@ let test_histogram_single () =
       Alcotest.(check (float 1e-12))
         (Printf.sprintf "p%g exact" p)
         0.0042
-        (Obs.Metrics.percentile h p))
+        (Obs.Histogram.percentile h p))
     [ 0.; 50.; 99.; 100. ]
 
 let test_histogram_boundaries () =
-  Obs.Metrics.set_enabled true;
-  let h = Obs.Metrics.histogram "test.hist.bounds" in
-  List.iter (Obs.Metrics.observe h) [ 1.0; 2.0; 4.0; 8.0 ];
+  let h = Obs.Histogram.create () in
+  List.iter (Obs.Histogram.observe h) [ 1.0; 2.0; 4.0; 8.0 ];
   (* Estimates interpolate geometrically inside the owning log bucket
      (one 8th of a decade wide) and are clamped to the observed extremes,
      so each percentile must land in its sample's bucket. *)
-  let decade = 10. ** (1. /. float_of_int Obs.Metrics.buckets_per_decade) in
+  let decade = 10. ** (1. /. float_of_int Obs.Histogram.buckets_per_decade) in
   let in_bucket name p sample =
-    let v = Obs.Metrics.percentile h p in
+    let v = Obs.Histogram.percentile h p in
     Alcotest.(check bool)
       (Printf.sprintf "%s=%g within [%g, %g]" name v (sample /. decade)
          (sample *. decade))
@@ -74,58 +43,47 @@ let test_histogram_boundaries () =
   in_bucket "p100" 100. 8.0;
   Alcotest.(check (float 1e-12))
     "p100 clamps at the observed max" 8.0
-    (Float.max 8.0 (Obs.Metrics.percentile h 100.));
+    (Float.max 8.0 (Obs.Histogram.percentile h 100.));
   Alcotest.(check bool) "percentiles are monotone" true
-    (Obs.Metrics.percentile h 0. <= Obs.Metrics.percentile h 50.
-    && Obs.Metrics.percentile h 50. <= Obs.Metrics.percentile h 100.)
+    (Obs.Histogram.percentile h 0. <= Obs.Histogram.percentile h 50.
+    && Obs.Histogram.percentile h 50. <= Obs.Histogram.percentile h 100.)
 
 let test_histogram_merge () =
-  Obs.Metrics.set_enabled true;
-  let a = Obs.Metrics.histogram "test.hist.merge.a" in
-  let b = Obs.Metrics.histogram "test.hist.merge.b" in
-  let all = Obs.Metrics.histogram "test.hist.merge.all" in
+  let a = Obs.Histogram.create () in
+  let b = Obs.Histogram.create () in
+  let all = Obs.Histogram.create () in
   let xs = [ 0.001; 0.01; 0.02 ] and ys = [ 0.5; 3.0; 40.0; 41.0 ] in
-  List.iter (Obs.Metrics.observe a) xs;
-  List.iter (Obs.Metrics.observe b) ys;
-  List.iter (Obs.Metrics.observe all) (xs @ ys);
-  Obs.Metrics.merge_into ~into:a b;
+  List.iter (Obs.Histogram.observe a) xs;
+  List.iter (Obs.Histogram.observe b) ys;
+  List.iter (Obs.Histogram.observe all) (xs @ ys);
+  Obs.Histogram.merge_into ~into:a b;
   Alcotest.(check int)
     "merged count" (List.length xs + List.length ys)
-    (Obs.Metrics.hist_count a);
-  Alcotest.(check (float 1e-12)) "merged min" 0.001 (Obs.Metrics.hist_min a);
-  Alcotest.(check (float 1e-12)) "merged max" 41.0 (Obs.Metrics.hist_max a);
+    (Obs.Histogram.hist_count a);
+  Alcotest.(check (float 1e-12)) "merged min" 0.001 (Obs.Histogram.hist_min a);
+  Alcotest.(check (float 1e-12)) "merged max" 41.0 (Obs.Histogram.hist_max a);
   Alcotest.(check (float 1e-9))
     "merged sum"
-    (Obs.Metrics.hist_sum all)
-    (Obs.Metrics.hist_sum a);
+    (Obs.Histogram.hist_sum all)
+    (Obs.Histogram.hist_sum a);
   (* The shared bucket layout makes merge equivalent to observing the
      union: every percentile must agree exactly. *)
   List.iter
     (fun p ->
       Alcotest.(check (float 1e-12))
         (Printf.sprintf "merged p%g = union p%g" p p)
-        (Obs.Metrics.percentile all p)
-        (Obs.Metrics.percentile a p))
+        (Obs.Histogram.percentile all p)
+        (Obs.Histogram.percentile a p))
     [ 0.; 25.; 50.; 75.; 90.; 99.; 100. ]
 
 let test_disabled_noop () =
-  let h = Obs.Metrics.histogram "test.hist.disabled" in
-  Obs.Metrics.observe h 1.0;
-  Alcotest.(check int) "registered histogram gated off" 0
-    (Obs.Metrics.hist_count h);
-  let lh = Obs.Metrics.local_histogram "test.hist.local" in
-  Obs.Metrics.observe lh 1.0;
-  Alcotest.(check int) "local histogram records anyway" 1
-    (Obs.Metrics.hist_count lh);
-  let t = Obs.Metrics.timer "test.timer.disabled" in
-  let r = Obs.Metrics.time t (fun () -> 42) in
-  Alcotest.(check int) "timed thunk still runs" 42 r;
-  Alcotest.(check int) "disabled timer records nothing" 0
-    (Obs.Metrics.hist_count (Obs.Metrics.timer_histogram t));
-  Obs.Metrics.set_enabled true;
-  ignore (Obs.Metrics.time t (fun () -> ()));
-  Alcotest.(check int) "enabled timer records" 1
-    (Obs.Metrics.hist_count (Obs.Metrics.timer_histogram t))
+  (* There is no enable flag to forget: a histogram records whatever the
+     telemetry state, so offline aggregation ([Obs.Report]) never needs
+     arming. *)
+  let h = Obs.Histogram.create () in
+  Obs.Histogram.observe h 1.0;
+  Alcotest.(check int) "histogram records with nothing armed" 1
+    (Obs.Histogram.hist_count h)
 
 (* ---- trace ---- *)
 
@@ -194,7 +152,6 @@ let test_jsonl_roundtrip () =
 (* ---- end to end: simnet trace vs engine ledger ---- *)
 
 let test_simnet_roundtrip () =
-  Obs.Metrics.set_enabled true;
   let sink = Obs.Trace.create () in
   Obs.Trace.install (Some sink);
   let n = 20 and k = 4 in
@@ -255,10 +212,6 @@ let () =
     [
       ( "metrics",
         [
-          Alcotest.test_case "gated counter" `Quick
-            (with_clean test_gated_counter);
-          Alcotest.test_case "local counter" `Quick
-            (with_clean test_local_counter);
           Alcotest.test_case "single-sample histogram" `Quick
             (with_clean test_histogram_single);
           Alcotest.test_case "bucket boundaries" `Quick

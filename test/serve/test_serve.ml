@@ -179,10 +179,16 @@ let mixed_stream e1_full e2_full =
     q ~network:1 ~k:4 b2;
   |]
 
-let run_stream ~domains =
+let run_stream ?sink ~domains () =
   let e1 = mk_env 21 and e2 = mk_env ~n:18 ~k:3 ~count:10 22 in
   let t = server_of ~config:(config ~batch:4 ~domains ()) [ e1; e2 ] in
-  let outcomes = Serve.Server.run t (mixed_stream e1.full_mj e2.full_mj) in
+  let queries = mixed_stream e1.full_mj e2.full_mj in
+  Obs.Trace.install sink;
+  let outcomes =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.install None)
+      (fun () -> Serve.Server.run t queries)
+  in
   (outcomes, Serve.Server.trace t, Serve.Server.stats t)
 
 let check_same_run (o1, tr1, s1) (o2, tr2, s2) =
@@ -205,11 +211,32 @@ let check_same_run (o1, tr1, s1) (o2, tr2, s2) =
   Alcotest.(check int) "solves" s1.solves s2.solves
 
 let test_determinism_across_domains () =
-  let r1 = run_stream ~domains:1 in
-  let r2 = run_stream ~domains:2 in
-  let r8 = run_stream ~domains:8 in
+  let r1 = run_stream ~domains:1 () in
+  let r2 = run_stream ~domains:2 () in
+  let r8 = run_stream ~domains:8 () in
   check_same_run r1 r2;
   check_same_run r1 r8;
+  (* An installed trace sink is single-domain, so a traced run serves
+     inline whatever [domains] asks for — and must still answer exactly
+     as the untraced run does. *)
+  let sink = Obs.Trace.create () in
+  let r2_traced = run_stream ~sink ~domains:2 () in
+  check_same_run r2 r2_traced;
+  let batches =
+    List.filter
+      (fun e ->
+        e.Obs.Trace.kind = Obs.Trace.Serve
+        && String.equal e.Obs.Trace.name "serve.batch")
+      (Obs.Trace.events sink)
+  in
+  Alcotest.(check bool) "traced run emitted serve.batch spans" true
+    (batches <> []);
+  List.iter
+    (fun e ->
+      Alcotest.(check (option (float 0.)))
+        "traced batch runs on one domain" (Some 1.)
+        (Obs.Trace.number e "domains"))
+    batches;
   (* with >1 domain the work really fans out only when a batch has >1
      task, but the trace is the witness that the decisions didn't move *)
   let _, _, s = r8 in

@@ -391,10 +391,7 @@ let r7_mutable_type_path p =
       "Buffer.t";
       "Queue.t";
       "Stack.t";
-      "Metrics.counter";
-      "Metrics.fsum";
-      "Metrics.gauge";
-      "Metrics.histogram";
+      "Histogram.t";
     ]
 
 let rec r7_type_class (ty : Types.type_expr) =
