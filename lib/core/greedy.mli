@@ -17,28 +17,18 @@ val plan :
     (matching the paper's description).  Nodes that never appear in any
     sample's top k are never added. *)
 
-val chosen_by_colsum :
-  Sensor.Topology.t ->
-  Sensor.Cost.t ->
-  colsum:int array ->
-  budget:float ->
-  bool array
-(** The node selection behind {!plan}, parameterized directly by column
-    sums (how often each node appears in sample answers).  The root is
-    always chosen.  Also serves as the last-resort fallback of the
-    {!Robust_plan} chain, where it replaces an LP solution that could not
-    be certified. *)
-
 val fallback :
   Sensor.Topology.t ->
   Sensor.Cost.t ->
   colsum:int array ->
   budget:float ->
   bool array * float
-(** {!chosen_by_colsum} together with the covered-ones count its selection
-    achieves on the samples (the chosen non-root nodes' column sums): the
-    LP planners' answer when no LP solution can be certified, scored in
-    the same currency as their LP objective. *)
+(** The node selection behind {!plan}, parameterized directly by column
+    sums (how often each node appears in sample answers; the root is
+    always chosen), together with the covered-ones count it achieves on
+    the samples (the chosen non-root nodes' column sums): the LP
+    planners' answer when no LP solution can be certified, scored in the
+    same currency as their LP objective. *)
 
 (** {1 Path-cost accumulator} *)
 

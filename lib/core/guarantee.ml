@@ -14,13 +14,6 @@ type t = {
   lp_certified : bool;
 }
 
-let family_rank = function
-  | Hoeffding -> 0
-  | Empirical_bernstein -> 1
-  | Per_node_union -> 2
-
-let compare_family a b = Int.compare (family_rank a) (family_rank b)
-
 let family_to_string = function
   | Hoeffding -> "hoeffding"
   | Empirical_bernstein -> "empirical-bernstein"
@@ -228,7 +221,7 @@ let equal a b =
   && Float.equal a.certified_lower b.certified_lower
   && Float.equal a.stat_eps b.stat_eps
   && Float.equal a.lp_eps b.lp_eps
-  && compare_family a.family b.family = 0
+  && String.equal (family_to_string a.family) (family_to_string b.family)
   && Int.equal a.candidates b.candidates
   && Bool.equal a.lp_certified b.lp_certified
 
@@ -288,11 +281,3 @@ let of_json j =
         candidates = int_of_float candidates;
         lp_certified;
       }
-
-let pp ppf t =
-  Format.fprintf ppf
-    "@[<h>E[accuracy] >= %.4f (missed mass <= %.4f) w.p. >= %g over %d \
-     samples; eps = %.4f (%s%s)@]"
-    t.certified_lower (1. -. t.certified_lower) (1. -. t.delta) t.samples t.eps
-    (family_to_string t.family)
-    (if t.lp_certified then Format.sprintf " + %.2e LP gap" t.lp_eps else "")

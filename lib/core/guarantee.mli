@@ -126,16 +126,10 @@ val validate : t -> (unit, string) result
 
 val equal : t -> t -> bool
 
-val compare_family : family -> family -> int
-
 val family_to_string : family -> string
-
-val family_of_string : string -> family option
 
 val to_json : t -> Obs.Json.t
 (** Schema ["guarantee/1"]: a flat object holding every field, suitable
     for provenance records and CI artifacts. *)
 
 val of_json : Obs.Json.t -> t option
-
-val pp : Format.formatter -> t -> unit

@@ -72,10 +72,12 @@ type 'r guaranteed = { chosen : 'r attempt; attained : bool; escalations : int }
 
 let plan_with_guarantee ?(max_escalations = 6) ?(growth = 1.5) ~eps ~delta
     ~planner ~describe topo cost ~k samples ~budget =
-  if eps <= 0. then invalid_arg "Robust_plan.plan_with_guarantee: eps <= 0";
-  if delta <= 0. || delta >= 1. then
+  (* Written so that NaN fails each check. *)
+  if not (eps > 0.) then
+    invalid_arg "Robust_plan.plan_with_guarantee: eps <= 0";
+  if not (delta > 0. && delta < 1.) then
     invalid_arg "Robust_plan.plan_with_guarantee: delta must be in (0, 1)";
-  if growth < 1. then
+  if not (growth >= 1.) then
     invalid_arg "Robust_plan.plan_with_guarantee: growth must be >= 1";
   if max_escalations < 0 then
     invalid_arg "Robust_plan.plan_with_guarantee: negative max_escalations";
@@ -148,10 +150,3 @@ let pp_provenance ppf = function
   | Certified_revised -> Format.pp_print_string ppf "certified-revised"
   | Certified_dense -> Format.pp_print_string ppf "certified-dense"
   | Fell_back_greedy -> Format.pp_print_string ppf "fell-back-greedy"
-
-let pp_failure ppf = function
-  | Proved_infeasible _ -> Format.pp_print_string ppf "proved-infeasible"
-  | Proved_unbounded _ -> Format.pp_print_string ppf "proved-unbounded"
-  | No_certified_solution reasons ->
-      Format.fprintf ppf "no-certified-solution (%s)"
-        (String.concat "; " reasons)

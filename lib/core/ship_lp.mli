@@ -26,7 +26,7 @@ val plan_by_colsum :
     at 1/2, then spend leftover budget on the most fractional remaining
     nodes.  When no LP stage yields a certified solution (e.g. a crippled
     [max_lp_iterations] or exhausted [lp_deadline]) the node selection
-    comes from {!Greedy.chosen_by_colsum} instead and [provenance] says
+    comes from {!Greedy.fallback} instead and [provenance] says
     so — the function never raises on solver failure.  [warm_start] is
     best-effort: tokens from a differently shaped model are ignored.
     @raise Invalid_argument on a negative budget. *)

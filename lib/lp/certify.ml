@@ -246,11 +246,3 @@ let certify_unbounded ?(tol = 1e-6) ?x (p : Problem.t) ~ray =
     end;
     finalize ~reasons:!reasons blank
   end
-
-let pp ppf r =
-  if r.certified then
-    Format.fprintf ppf
-      "certified (primal %.2g, bounds %.2g, dual %.2g, gap %.2g)"
-      r.primal_residual r.bound_violation r.dual_violation r.duality_gap
-  else
-    Format.fprintf ppf "rejected: %s" (String.concat "; " r.reasons)

@@ -62,5 +62,3 @@ val certify_unbounded :
 val reject : string -> report
 (** A report that certifies nothing, with the given reason — for results
     that carry no checkable claim (e.g. an iteration-limit status). *)
-
-val pp : Format.formatter -> report -> unit

@@ -6,7 +6,11 @@ type sense = Le | Ge | Eq
 
 type direction = Minimize | Maximize
 
-type status = Optimal | Infeasible | Unbounded | Iteration_limit
+type status = Revised.status =
+  | Optimal
+  | Infeasible
+  | Unbounded
+  | Iteration_limit
 
 let status_equal a b =
   match (a, b) with
@@ -30,7 +34,7 @@ type t = {
   mutable nrows : int;
   (* O(1) per-variable views of the reversed building lists, materialized
      on first lookup or solve and invalidated by [add_var]; keeps
-     [var_name]/[var_bounds] off the O(n) [List.nth] path. *)
+     [var_name] off the O(n) [List.nth] path. *)
   mutable finalized : finalized option;
 }
 
@@ -118,20 +122,10 @@ let add_ge t terms rhs = add_constraint t terms Ge rhs
 let add_eq t terms rhs = add_constraint t terms Eq rhs
 
 let n_vars t = t.nvars
-let n_constraints t = t.nrows
 
 let var_of_index t j =
   if j < 0 || j >= t.nvars then invalid_arg "Model.var_of_index: out of range";
   j
-
-let var_bounds t v =
-  if v < 0 || v >= t.nvars then invalid_arg "Model.var_bounds: unknown var";
-  let f = finalize t in
-  (f.f_lowers.(v), f.f_uppers.(v))
-
-let obj_coeff t v =
-  if v < 0 || v >= t.nvars then invalid_arg "Model.obj_coeff: unknown var";
-  t.objs.(v)
 
 let value sol v = sol.values.(v)
 
@@ -202,12 +196,6 @@ let objective_of t values =
   done;
   !acc
 
-let map_status = function
-  | Revised.Optimal -> Optimal
-  | Revised.Infeasible -> Infeasible
-  | Revised.Unbounded -> Unbounded
-  | Revised.Iteration_limit -> Iteration_limit
-
 (* Revised solve, also returning the lowered problem and the raw solver
    result so {!solve_certified} can re-check them. *)
 let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
@@ -225,7 +213,7 @@ let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
   let sign = match t.dir with Minimize -> 1. | Maximize -> -1. in
   let row_duals = Array.map (fun y -> sign *. y) res.Revised.duals in
   let basis = { b_nvars = t.nvars; b_nrows = t.nrows; rb = res.Revised.basis } in
-  let status = map_status res.Revised.status in
+  let status = res.Revised.status in
   (* Values are only meaningful at an optimum; zero them otherwise so no
      caller can accidentally consume a half-converged iterate. *)
   let values =
@@ -338,15 +326,11 @@ let solve_dense ?max_pivots t =
     basis = None;
   }
 
-let solve ?(solver = `Revised) ?max_iterations ?deadline ?bland_after
-    ?warm_start t =
-  match solver with
-  | `Revised ->
-      let _, _, sol =
-        solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t
-      in
-      sol
-  | `Dense -> solve_dense t
+let solve ?max_iterations ?deadline ?bland_after ?warm_start t =
+  let _, _, sol =
+    solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t
+  in
+  sol
 
 (* ---- certified solves ---- *)
 
@@ -410,19 +394,3 @@ let solve_dense_certified ?max_pivots t =
     | Iteration_limit -> Certify.reject "dense pivot budget exhausted"
   in
   (sol, report)
-
-let pp_solution t ppf sol =
-  let status_str =
-    match sol.status with
-    | Optimal -> "optimal"
-    | Infeasible -> "infeasible"
-    | Unbounded -> "unbounded"
-    | Iteration_limit -> "iteration-limit"
-  in
-  Format.fprintf ppf "@[<v>status: %s@,objective: %.6g@," status_str
-    sol.objective;
-  for v = 0 to t.nvars - 1 do
-    if Float.abs sol.values.(v) > 1e-9 then
-      Format.fprintf ppf "%s = %.6g@," (var_name t v) sol.values.(v)
-  done;
-  Format.fprintf ppf "@]"

@@ -2,8 +2,9 @@
 
     Variables carry optional bounds and objective coefficients; constraints
     are linear expressions compared to a constant.  [solve] lowers the model
-    to a {!Problem.t} and runs the sparse {!Revised} simplex (default), or
-    the independent {!Dense_simplex} reference for small models. *)
+    to a {!Problem.t} and runs the sparse {!Revised} simplex;
+    {!solve_dense_certified} runs the independent {!Dense_simplex}
+    reference instead. *)
 
 type t
 
@@ -14,7 +15,11 @@ type sense = Le | Ge | Eq
 
 type direction = Minimize | Maximize
 
-type status = Optimal | Infeasible | Unbounded | Iteration_limit
+type status = Revised.status =
+  | Optimal
+  | Infeasible
+  | Unbounded
+  | Iteration_limit
 
 val status_equal : status -> status -> bool
 (** Structural equality on {!status}.  Use this (not polymorphic [=])
@@ -29,9 +34,9 @@ type basis
     scratch.  Incompatible tokens are silently ignored. *)
 
 val basis_shape : basis -> int * int
-(** [(n_vars, n_constraints)] of the model the token came from — the shape
-    a model must have for the token to apply (used by warm-basis pools to
-    index tokens without holding a model). *)
+(** The variable and constraint counts of the model the token came from —
+    the shape a model must have for the token to apply (used by warm-basis
+    pools to index tokens without holding a model). *)
 
 val basis_compatible : t -> basis -> bool
 (** Whether the token fits this model.  This is the single
@@ -84,14 +89,9 @@ val add_ge : t -> (float * var) list -> float -> unit
 val add_eq : t -> (float * var) list -> float -> unit
 
 val n_vars : t -> int
-val n_constraints : t -> int
 
 val var_of_index : t -> int -> var
 (** Inverse of {!var_index}.  @raise Invalid_argument if out of range. *)
-
-val var_bounds : t -> var -> float * float
-
-val obj_coeff : t -> var -> float
 
 val to_problem : t -> Problem.t
 (** The model lowered to computational standard form: variable [v] maps to
@@ -101,7 +101,6 @@ val to_problem : t -> Problem.t
     solution against it. *)
 
 val solve :
-  ?solver:[ `Revised | `Dense ] ->
   ?max_iterations:int ->
   ?deadline:float ->
   ?bland_after:int ->
@@ -113,7 +112,7 @@ val solve :
     budget in seconds for the revised solver (best effort; exceeded budgets
     yield [Iteration_limit]).  [warm_start] feeds a previous solution's
     basis token back to the revised solver; it is ignored when the shapes
-    differ or with the dense solver.  [bland_after] tunes the degeneracy
+    differ.  [bland_after] tunes the degeneracy
     threshold for the Bland's-rule fallback (tests only). *)
 
 val solve_certified :
@@ -140,5 +139,3 @@ val solve_dense_certified : ?max_pivots:int -> t -> solution * Certify.report
 
 val value : solution -> var -> float
 (** Value of a variable in a solution (0. unless [status = Optimal]). *)
-
-val pp_solution : t -> Format.formatter -> solution -> unit

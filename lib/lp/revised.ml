@@ -39,12 +39,6 @@ type result = {
   ray : float array option;
 }
 
-let pp_status ppf = function
-  | Optimal -> Format.pp_print_string ppf "optimal"
-  | Infeasible -> Format.pp_print_string ppf "infeasible"
-  | Unbounded -> Format.pp_print_string ppf "unbounded"
-  | Iteration_limit -> Format.pp_print_string ppf "iteration-limit"
-
 (* Eta update for the product-form basis inverse.  [rows]/[vals] are the
    entries of the pivot (FTRAN) column w excluding the pivot slot. *)
 type eta = { slot : int; wp : float; rows : int array; vals : float array }
@@ -926,16 +920,19 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     && Array.length wb.at_upper = n
     && Problem.compatible_basis prob wb.vars
   in
+  (* The flag is true only when the warm path itself returned: an
+     unusable token and a [Warm_start_failed] fallback are cold solves. *)
   let dispatch () =
     match warm with
     | Some wb when warm_usable wb -> (
-        try solve_warm wb with Warm_start_failed -> solve_cold ())
-    | _ -> solve_cold ()
+        try (solve_warm wb, true)
+        with Warm_start_failed -> (solve_cold (), false))
+    | _ -> (solve_cold (), false)
   in
-  if not (Obs.Trace.active ()) then dispatch ()
+  if not (Obs.Trace.active ()) then fst (dispatch ())
   else begin
     let t0 = Obs.Trace.now () in
-    let res = dispatch () in
+    let res, warm_used = dispatch () in
     let dur = Obs.Trace.now () -. t0 in
     Obs.Trace.emit Obs.Trace.Solve ~name:"lp.revised" ~start_s:t0
       ~dur_s:dur
@@ -952,7 +949,7 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
           Obs.Trace.Int res.stats.growth_refactorizations );
         ("degenerate_pivots", Obs.Trace.Int res.stats.degenerate_pivots);
         ("bound_flips", Obs.Trace.Int res.stats.bound_flips);
-        ("warm", Obs.Trace.Bool (warm <> None));
+        ("warm", Obs.Trace.Bool warm_used);
       ];
     res
   end

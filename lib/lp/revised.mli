@@ -86,5 +86,3 @@ val solve :
     from a previous solve; it is ignored (cold start) when structurally
     incompatible, and abandoned transparently when singular or
     unrepairable. *)
-
-val pp_status : Format.formatter -> status -> unit

@@ -40,9 +40,6 @@ let of_arrays idx value =
     invalid_arg "Sparse_vec.of_arrays: negative index";
   { idx; value }
 
-let to_assoc v =
-  List.init (nnz v) (fun p -> (v.idx.(p), v.value.(p)))
-
 let get v i =
   let rec search lo hi =
     if lo >= hi then 0.
@@ -78,9 +75,6 @@ let fold f init v =
   done;
   !acc
 
-let map_values f v =
-  of_assoc (List.map (fun (i, x) -> (i, f x)) (to_assoc v))
-
 let max_abs v =
   let m = ref 0. in
   for p = 0 to nnz v - 1 do
@@ -89,9 +83,5 @@ let max_abs v =
   done;
   !m
 
-let scale a v = map_values (fun x -> a *. x) v
-
-let pp ppf v =
-  Format.fprintf ppf "@[<h>[";
-  iter (fun i x -> Format.fprintf ppf " %d:%g" i x) v;
-  Format.fprintf ppf " ]@]"
+let scale a v =
+  of_assoc (List.init (nnz v) (fun p -> (v.idx.(p), a *. v.value.(p))))

@@ -22,8 +22,6 @@ val of_assoc : (int * float) list -> t
 val of_arrays : int array -> float array -> t
 (** Adopt pre-sorted arrays (checked).  The arrays are not copied. *)
 
-val to_assoc : t -> (int * float) list
-
 val get : t -> int -> float
 (** [get v i] is the coefficient at index [i] (0. when absent);
     binary search, O(log nnz). *)
@@ -39,13 +37,7 @@ val iter : (int -> float -> unit) -> t -> unit
 
 val fold : ('a -> int -> float -> 'a) -> 'a -> t -> 'a
 
-val map_values : (float -> float) -> t -> t
-(** Apply a function to every stored value; entries mapped to (near-)zero
-    are dropped. *)
-
 val max_abs : t -> float
 (** Largest entry magnitude, 0. for the empty vector. *)
 
 val scale : float -> t -> t
-
-val pp : Format.formatter -> t -> unit

@@ -74,9 +74,6 @@ let hist_min h = if h.hcount = 0 then Float.nan else h.hmin
 
 let hist_max h = if h.hcount = 0 then Float.nan else h.hmax
 
-let hist_mean h =
-  if h.hcount = 0 then Float.nan else h.hsum /. float_of_int h.hcount
-
 let merge_into ~into src =
   for i = 0 to n_buckets - 1 do
     into.buckets.(i) <- into.buckets.(i) + src.buckets.(i)

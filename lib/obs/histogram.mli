@@ -26,15 +26,8 @@ val hist_count : t -> int
 
 val hist_sum : t -> float
 
-val hist_mean : t -> float
-
 val hist_min : t -> float
 
 val hist_max : t -> float
-
-val bucket_lower : int -> float
-(** Lower bound of 1-based regular bucket [i]; exposed for boundary tests. *)
-
-val bucket_upper : int -> float
 
 val buckets_per_decade : int

@@ -86,8 +86,6 @@ let of_events evs =
 
 let rows t = t.rows
 
-let duration_histogram t kind = List.assoc_opt kind t.dur_hists
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>";
   Format.fprintf ppf "%-10s %-24s %8s %12s %12s@," "kind" "name" "count"

@@ -19,7 +19,4 @@ val of_events : Trace.event list -> t
 val rows : t -> row list
 (** Sorted by (kind, name). *)
 
-val duration_histogram : t -> Trace.kind -> Histogram.t option
-(** Histogram over the [dur_s] of this kind's events ([> 0] only). *)
-
 val pp : Format.formatter -> t -> unit

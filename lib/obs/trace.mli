@@ -54,15 +54,9 @@ val clear : sink -> unit
 
 val kind_to_string : kind -> string
 
-val kind_of_string : string -> kind option
-
 val compare_kind : kind -> kind -> int
 (** Total order on kinds (declaration order); lets aggregators and
     exporters sort without polymorphic compare. *)
-
-val event_to_json : event -> Json.t
-
-val event_of_json : Json.t -> event option
 
 val write_jsonl : out_channel -> event list -> unit
 

@@ -1,48 +1,15 @@
-type t = {
-  fail_prob : float array;
-  reroute_factor : float array;
-  drop_prob : float array;
-}
+type t = { fail_prob : float array; reroute_factor : float array }
 
-let none ~n =
-  {
-    fail_prob = Array.make n 0.;
-    reroute_factor = Array.make n 1.;
-    drop_prob = Array.make n 0.;
-  }
+let none ~n = { fail_prob = Array.make n 0.; reroute_factor = Array.make n 1. }
 
-let uniform ?(max_drop = 0.) rng ~n ~max_prob ~max_factor =
+let uniform rng ~n ~max_prob ~max_factor =
   if max_prob < 0. || max_prob > 1. then
     invalid_arg "Failure.uniform: max_prob out of range";
   if max_factor < 1. then invalid_arg "Failure.uniform: max_factor < 1";
-  if max_drop < 0. || max_drop > 1. then
-    invalid_arg "Failure.uniform: max_drop out of range";
   {
     fail_prob = Array.init n (fun _ -> Rng.float rng max_prob);
     reroute_factor = Array.init n (fun _ -> Rng.uniform rng ~lo:1. ~hi:max_factor);
-    (* Draw nothing when drops are off, so seeds from before the drop model
-       existed keep producing the same failure statistics. *)
-    drop_prob =
-      (if max_drop = 0. then Array.make n 0.
-       else Array.init n (fun _ -> Rng.float rng max_drop));
   }
-
-let with_drops t drop_prob =
-  if Array.length drop_prob <> Array.length t.fail_prob then
-    invalid_arg "Failure.with_drops: length mismatch";
-  Array.iter
-    (fun p ->
-      if Float.is_nan p || p < 0. || p > 1. then
-        invalid_arg "Failure.with_drops: probability out of [0, 1]")
-    drop_prob;
-  { t with drop_prob = Array.copy drop_prob }
 
 let expected_multiplier t i =
   1. +. (t.fail_prob.(i) *. (t.reroute_factor.(i) -. 1.))
-
-let expected_transmissions t i =
-  let p = t.drop_prob.(i) in
-  if p >= 1. then infinity else 1. /. (1. -. p)
-
-let draw_failures t rng =
-  Array.map (fun p -> Rng.float rng 1. < p) t.fail_prob

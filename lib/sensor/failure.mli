@@ -5,17 +5,7 @@
     edge's cost by (failure probability x extra re-routing cost), so no
     topology recomputation is needed.  This module holds the per-edge
     statistics and produces the inflation factors consumed by
-    {!Cost.with_failures}.
-
-    Two kinds of per-edge probability coexist:
-
-    - [fail_prob] is the {e planning-side} statistic: how often a message
-      must detour, inflating its cost by [reroute_factor];
-    - [drop_prob] is the {e execution-side} statistic: how often a frame is
-      actually lost on the air, forcing the execution layer's ACK/
-      retransmission machinery (the simnet [Fault] model lifts it via
-      [Fault.of_failure]).  [expected_transmissions] is the matching
-      analytic prediction. *)
+    {!Cost.with_failures}. *)
 
 type t = {
   fail_prob : float array;
@@ -23,34 +13,15 @@ type t = {
   reroute_factor : float array;
       (** multiplicative extra cost paid when the edge fails, e.g. 1.5
           means a re-routed message costs 1.5x more *)
-  drop_prob : float array;
-      (** per-edge probability that a frame is lost outright and must be
-          retransmitted by the execution layer, in [0, 1] *)
 }
 
 val none : n:int -> t
 (** No failures. *)
 
-val uniform :
-  ?max_drop:float -> Rng.t -> n:int -> max_prob:float -> max_factor:float -> t
-(** Independent per-edge probabilities in [0, max_prob], re-route factors
-    in [1, max_factor], and (when [max_drop > 0], default 0) frame-drop
-    probabilities in [0, max_drop].  With [max_drop] omitted the generator
-    stream is exactly what it was before the drop model existed. *)
-
-val with_drops : t -> float array -> t
-(** Replace the drop probabilities.
-    @raise Invalid_argument on a length mismatch or a probability outside
-    [0, 1]. *)
+val uniform : Rng.t -> n:int -> max_prob:float -> max_factor:float -> t
+(** Independent per-edge probabilities in [0, max_prob] and re-route
+    factors in [1, max_factor]. *)
 
 val expected_multiplier : t -> int -> float
 (** [expected_multiplier t i] is the expected cost multiplier of the edge
     above node [i]: [1 + p_i * (f_i - 1)]. *)
-
-val expected_transmissions : t -> int -> float
-(** Expected transmissions per delivered frame on the edge above node [i]
-    under its drop probability: [1 / (1 - drop_prob)]; [infinity] when the
-    edge drops everything. *)
-
-val draw_failures : t -> Rng.t -> bool array
-(** Sample which edges fail during one collection phase. *)

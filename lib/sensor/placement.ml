@@ -67,7 +67,3 @@ let grid ~rows ~cols ~spacing =
     height = float_of_int (rows - 1) *. spacing;
     zone = Array.make n (-1);
   }
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v>%d nodes in %.0fx%.0f, root %d@]"
-    (Array.length t.positions) t.width t.height t.root

@@ -43,5 +43,3 @@ val zones :
 val grid : rows:int -> cols:int -> spacing:float -> t
 (** A [rows] x [cols] grid with the root at the north-west corner, used for
     lab-floor-plan style deployments. *)
-
-val pp : Format.formatter -> t -> unit

@@ -181,9 +181,6 @@ let post_order t =
   visit t.root;
   order
 
-let non_root_nodes t =
-  List.filter (fun i -> i <> t.root) (List.init t.n (fun i -> i))
-
 let height t = Array.fold_left Int.max 0 t.depth
 
 let pp ppf t =

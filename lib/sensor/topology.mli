@@ -46,9 +46,6 @@ val descendants : t -> int -> int list
 val post_order : t -> int array
 (** Children before parents; root last. *)
 
-val non_root_nodes : t -> int list
-(** Every node except the root; each identifies the edge to its parent. *)
-
 val height : t -> int
 
 val pp : Format.formatter -> t -> unit

@@ -60,7 +60,3 @@ let family_key t =
 let exact_key t = Printf.sprintf "%s/b%Lx" (family_key t) t.budget_bits
 
 let shape_key t = Printf.sprintf "t%Lx/m%d/k%d" t.topo_hash t.samples t.k
-
-let pp ppf t =
-  Format.fprintf ppf "query %s (budget %g)" (family_key t)
-    (Int64.float_of_bits t.budget_bits)

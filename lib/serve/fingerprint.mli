@@ -54,5 +54,3 @@ val shape_key : t -> string
     pool.  Deliberately excludes the window {e version}: a basis from an
     older window of the same shape is still a valid (and useful) warm
     start for the perturbed LP. *)
-
-val pp : Format.formatter -> t -> unit

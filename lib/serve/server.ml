@@ -146,8 +146,6 @@ let update_window t ~network samples =
       Hashtbl.reset net.by_k;
       Hashtbl.replace net.by_k samples.Sampling.Sample_set.k samples
 
-let network_count t = Hashtbl.length t.networks
-
 let samples_for_k net ~k =
   match Hashtbl.find_opt net.by_k k with
   | Some s -> s

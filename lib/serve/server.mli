@@ -66,8 +66,6 @@ val update_window : t -> network:int -> Sampling.Sample_set.t -> unit
     fingerprints can no longer be formed), while pooled bases of the same
     shape remain available as warm-start hints. *)
 
-val network_count : t -> int
-
 type query = {
   network : int;
   k : int;

@@ -343,19 +343,48 @@ let fault_ctx t ~event ~src ~dst =
 
 let run ?(max_events = 10_000_000) t =
   (* Snapshot the ledgers so the epoch span reports this run's deltas even
-     when the same engine executes several collection rounds. *)
-  let telemetry = Obs.Trace.active () in
-  let wall0 = if telemetry then Obs.Trace.now () else 0. in
-  let sim0 = t.now
-  and u0 = t.unicasts
-  and b0 = t.broadcasts
-  and by0 = t.bytes_sent
-  and rr0 = t.reroutes
-  and r0 = fault_stat t (fun fc -> fc.retransmissions)
-  and d0 = fault_stat t (fun fc -> fc.dropped)
-  and du0 = fault_stat t (fun fc -> fc.duplicates)
-  and g0 = fault_stat t (fun fc -> fc.gave_up)
-  and e0 = Array.fold_left ( +. ) 0. t.energy in
+     when the same engine executes several collection rounds.  The snapshot
+     (an O(n) energy fold) is taken only while a trace sink is installed. *)
+  let emit_epoch =
+    if not (Obs.Trace.active ()) then None
+    else begin
+      let wall0 = Obs.Trace.now ()
+      and sim0 = t.now
+      and u0 = t.unicasts
+      and b0 = t.broadcasts
+      and by0 = t.bytes_sent
+      and rr0 = t.reroutes
+      and r0 = fault_stat t (fun fc -> fc.retransmissions)
+      and d0 = fault_stat t (fun fc -> fc.dropped)
+      and du0 = fault_stat t (fun fc -> fc.duplicates)
+      and g0 = fault_stat t (fun fc -> fc.gave_up)
+      and e0 = Array.fold_left ( +. ) 0. t.energy in
+      Some
+        (fun finished ->
+          let e1 = Array.fold_left ( +. ) 0. t.energy in
+          Obs.Trace.emit Obs.Trace.Epoch ~name:"simnet.engine" ~start_s:wall0
+            ~dur_s:(Obs.Trace.now () -. wall0)
+            [
+              ("epoch", Obs.Trace.Int (t.epochs - 1));
+              ("unicasts", Obs.Trace.Int (t.unicasts - u0));
+              ("broadcasts", Obs.Trace.Int (t.broadcasts - b0));
+              ("bytes", Obs.Trace.Int (t.bytes_sent - by0));
+              ("reroutes", Obs.Trace.Int (t.reroutes - rr0));
+              ( "retransmissions",
+                Obs.Trace.Int
+                  (fault_stat t (fun fc -> fc.retransmissions) - r0) );
+              ( "dropped",
+                Obs.Trace.Int (fault_stat t (fun fc -> fc.dropped) - d0) );
+              ( "duplicates",
+                Obs.Trace.Int (fault_stat t (fun fc -> fc.duplicates) - du0)
+              );
+              ( "gave_up",
+                Obs.Trace.Int (fault_stat t (fun fc -> fc.gave_up) - g0) );
+              ("energy_mj", Obs.Trace.Float (e1 -. e0));
+              ("sim_time_s", Obs.Trace.Float (finished -. sim0));
+            ])
+    end
+  in
   let events = ref 0 in
   let rec loop () =
     match Event_queue.pop t.queue with
@@ -398,27 +427,7 @@ let run ?(max_events = 10_000_000) t =
   in
   let finished = loop () in
   t.epochs <- t.epochs + 1;
-  if telemetry then begin
-    let e1 = Array.fold_left ( +. ) 0. t.energy in
-    Obs.Trace.emit Obs.Trace.Epoch ~name:"simnet.engine" ~start_s:wall0
-      ~dur_s:(Obs.Trace.now () -. wall0)
-      [
-        ("epoch", Obs.Trace.Int (t.epochs - 1));
-        ("unicasts", Obs.Trace.Int (t.unicasts - u0));
-        ("broadcasts", Obs.Trace.Int (t.broadcasts - b0));
-        ("bytes", Obs.Trace.Int (t.bytes_sent - by0));
-        ("reroutes", Obs.Trace.Int (t.reroutes - rr0));
-        ( "retransmissions",
-          Obs.Trace.Int (fault_stat t (fun fc -> fc.retransmissions) - r0)
-        );
-        ("dropped", Obs.Trace.Int (fault_stat t (fun fc -> fc.dropped) - d0));
-        ( "duplicates",
-          Obs.Trace.Int (fault_stat t (fun fc -> fc.duplicates) - du0) );
-        ("gave_up", Obs.Trace.Int (fault_stat t (fun fc -> fc.gave_up) - g0));
-        ("energy_mj", Obs.Trace.Float (e1 -. e0));
-        ("sim_time_s", Obs.Trace.Float (finished -. sim0));
-      ]
-  end;
+  Option.iter (fun emit -> emit finished) emit_epoch;
   finished
 
 let energy_of t node = t.energy.(node)
@@ -430,10 +439,6 @@ let unicasts_sent t = t.unicasts
 let broadcasts_sent t = t.broadcasts
 
 let reroutes t = t.reroutes
-
-let bytes_sent t = t.bytes_sent
-
-let epochs_run t = t.epochs
 
 let retransmissions_sent t =
   match t.fault with None -> 0 | Some fc -> fc.retransmissions

@@ -82,7 +82,9 @@ val run : ?max_events:int -> 'msg t -> float
     time.  Stale retransmission timers (frames acknowledged before their
     timeout) are discarded without advancing the clock.  @raise Failure
     if [max_events] (default 10_000_000) is exceeded, which indicates a
-    protocol that never quiesces. *)
+    protocol that never quiesces.  Each completed run (one collection
+    epoch in the paper's terms) emits an [Epoch] span (per-round
+    message/byte/energy deltas) when an {!Obs.Trace} sink is installed. *)
 
 val energy_of : 'msg t -> int -> float
 (** Total energy charged to one node so far, mJ. *)
@@ -97,16 +99,6 @@ val broadcasts_sent : 'msg t -> int
 val reroutes : 'msg t -> int
 (** Number of transmissions that hit a transient failure and paid the
     re-routing premium (planning-side [?failure] model only). *)
-
-val bytes_sent : 'msg t -> int
-(** Payload bytes put on the air so far: unicasts and retransmissions at
-    their frame size, each local broadcast counted once (one transmission
-    however many children listen). *)
-
-val epochs_run : 'msg t -> int
-(** Completed {!run} calls — one per collection epoch in the paper's
-    terms.  Each completed run also emits an [Epoch] span (per-round
-    message/byte/energy deltas) when an {!Obs.Trace} sink is installed. *)
 
 val retransmissions_sent : 'msg t -> int
 (** Data frames re-sent by the reliability sublayer. *)

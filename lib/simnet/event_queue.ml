@@ -77,4 +77,3 @@ let pop t =
     Some (top.time, top.payload)
   end
 
-let peek_time t = if t.size = 0 then None else Some t.heap.(1).time

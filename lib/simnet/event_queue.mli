@@ -22,5 +22,3 @@ val add : 'a t -> time:float -> 'a -> unit
 
 val pop : 'a t -> (float * 'a) option
 (** Remove and return the earliest event. *)
-
-val peek_time : 'a t -> float option

@@ -25,8 +25,6 @@ let of_probs probs =
     crashes = [];
   }
 
-let of_failure (f : Sensor.Failure.t) = of_probs f.Sensor.Failure.drop_prob
-
 let with_burst t ~mean_length =
   if not (mean_length > 0.) then
     invalid_arg "Fault.with_burst: mean_length must be positive";

@@ -1,9 +1,5 @@
-(** Execution-layer fault injection for the discrete-event engine.
-
-    {!Sensor.Failure} describes link trouble the way the {e planner} sees it
-    (Section 4.4: inflate edge costs, assume the reliable protocol always
-    recovers).  This module describes what the {e execution} layer actually
-    suffers: frames that vanish on the air.  Three fault classes compose:
+(** Execution-layer fault injection for the discrete-event engine: frames
+    that vanish on the air.  Three fault classes compose:
 
     - {b Bernoulli drop}: every frame crossing an edge is lost independently
       with a per-edge probability (indexed by the child endpoint, like every
@@ -34,10 +30,6 @@ val of_probs : float array -> t
 (** Per-edge drop probabilities, indexed by the child endpoint (the root's
     entry is ignored: it has no uplink edge).
     @raise Invalid_argument on a probability outside [0, 1]. *)
-
-val of_failure : Sensor.Failure.t -> t
-(** Lift the planner-side statistics into an execution-layer fault model
-    using the {!Sensor.Failure} [drop_prob] field. *)
 
 val with_burst : t -> mean_length:float -> t
 (** Every Bernoulli drop additionally opens an outage window of

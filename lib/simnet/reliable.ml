@@ -13,13 +13,6 @@ let timeout p ~rto0 ~attempt =
   Float.min p.rto_max
     (p.rto_scale *. rto0 *. (p.backoff ** float_of_int (attempt - 1)))
 
-let worst_case_recovery p ~rto0 =
-  let total = ref 0. in
-  for attempt = 1 to p.max_attempts do
-    total := !total +. timeout p ~rto0 ~attempt
-  done;
-  !total
-
 let expected_cost_multiplier ~drop ~sender_share =
   if Float.is_nan drop || drop < 0. || drop >= 1. then
     invalid_arg "Reliable.expected_cost_multiplier: drop must be in [0, 1)";

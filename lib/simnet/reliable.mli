@@ -48,10 +48,6 @@ val timeout : policy -> rto0:float -> attempt:int -> float
     [min rto_max (rto_scale * rto0 * backoff^(attempt-1))].
     @raise Invalid_argument if [attempt < 1]. *)
 
-val worst_case_recovery : policy -> rto0:float -> float
-(** Sum of every timeout the policy can arm: an upper bound on the time a
-    message can stay in flight before delivery or abandonment. *)
-
 val expected_cost_multiplier : drop:float -> sender_share:float -> float
 (** Expected energy of one reliably delivered message, relative to its
     lossless cost, under independent per-frame drop probability [drop] for

@@ -559,23 +559,28 @@ let test_unattainable_returns_best_attempt () =
 
 let test_ladder_rejects_bad_arguments () =
   let topo, cost, _, _, k, samples = fixed_instance 16 in
-  let run ?max_escalations ?growth ~eps ~delta () =
-    ignore
-      (plan_with_target ?max_escalations ?growth topo cost samples ~k
-         ~budget:4. ~eps ~delta)
-  in
-  Alcotest.check_raises "eps = 0"
-    (Invalid_argument "Robust_plan.plan_with_guarantee: eps <= 0")
-    (run ~eps:0. ~delta:0.1);
-  Alcotest.check_raises "delta = 1"
-    (Invalid_argument "Robust_plan.plan_with_guarantee: delta must be in (0, 1)")
-    (run ~eps:0.5 ~delta:1.);
-  Alcotest.check_raises "growth < 1"
-    (Invalid_argument "Robust_plan.plan_with_guarantee: growth must be >= 1")
-    (run ~growth:0.5 ~eps:0.5 ~delta:0.1);
-  Alcotest.check_raises "negative max_escalations"
-    (Invalid_argument "Robust_plan.plan_with_guarantee: negative max_escalations")
-    (run ~max_escalations:(-1) ~eps:0.5 ~delta:0.1)
+  List.iter
+    (fun (label, why, max_escalations, growth, eps, delta) ->
+      Alcotest.check_raises label
+        (Invalid_argument ("Robust_plan.plan_with_guarantee: " ^ why))
+        (fun () ->
+          ignore
+            (plan_with_target ?max_escalations ?growth topo cost samples ~k
+               ~budget:4. ~eps ~delta)))
+    [
+      ("eps = 0", "eps <= 0", None, None, 0., 0.1);
+      ("eps = nan", "eps <= 0", None, None, Float.nan, 0.1);
+      ("delta = 1", "delta must be in (0, 1)", None, None, 0.5, 1.);
+      ("delta = nan", "delta must be in (0, 1)", None, None, 0.5, Float.nan);
+      ("growth < 1", "growth must be >= 1", None, Some 0.5, 0.5, 0.1);
+      ("growth = nan", "growth must be >= 1", None, Some Float.nan, 0.5, 0.1);
+      ( "negative max_escalations",
+        "negative max_escalations",
+        Some (-1),
+        None,
+        0.5,
+        0.1 );
+    ]
 
 (* ---------- integration: Lp_lf and Replan ---------- *)
 

@@ -186,8 +186,8 @@ let bigger_random_agreement =
           vars;
         Lp.Model.add_le m !terms (Random.State.float rand 20.)
       done;
-      let a = Lp.Model.solve ~solver:`Revised m in
-      let b = Lp.Model.solve ~solver:`Dense m in
+      let a = Lp.Model.solve m in
+      let b = fst (Lp.Model.solve_dense_certified m) in
       match (a.Lp.Model.status, b.Lp.Model.status) with
       | Lp.Model.Optimal, Lp.Model.Optimal ->
           Float.abs (a.Lp.Model.objective -. b.Lp.Model.objective)
@@ -220,8 +220,8 @@ let equality_rows_agreement =
           vars;
         Lp.Model.add_le m !terms (2. +. Random.State.float rand 15.)
       done;
-      let a = Lp.Model.solve ~solver:`Revised m in
-      let b = Lp.Model.solve ~solver:`Dense m in
+      let a = Lp.Model.solve m in
+      let b = fst (Lp.Model.solve_dense_certified m) in
       match (a.Lp.Model.status, b.Lp.Model.status) with
       | Lp.Model.Optimal, Lp.Model.Optimal ->
           Float.abs (a.Lp.Model.objective -. b.Lp.Model.objective)

@@ -116,6 +116,32 @@ let test_warm_incompatible_ignored () =
   check_float "mismatched token ignored" cold.Lp.Model.objective
     warm.Lp.Model.objective
 
+(* The [Solve] span's [warm] attribute reports whether the warm path ran,
+   not whether a token was passed: a wrong-length token is a cold solve. *)
+let test_warm_span_attribute () =
+  let prob = Lp.Model.to_problem (build_transport ~budget:6.) in
+  let prior = (Lp.Revised.solve prob).Lp.Revised.basis in
+  let traced_warm basis =
+    let sink = Obs.Trace.create () in
+    Obs.Trace.install (Some sink);
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.install None)
+      (fun () -> ignore (Lp.Revised.solve ~basis prob));
+    match Obs.Trace.events sink with
+    | [ e ] -> (
+        match Obs.Trace.find_attr e "warm" with
+        | Some (Obs.Trace.Bool b) -> b
+        | _ -> Alcotest.fail "span lacks a boolean warm attribute")
+    | es -> Alcotest.failf "expected one span, got %d" (List.length es)
+  in
+  List.iter
+    (fun (label, basis, expected) ->
+      Alcotest.(check bool) label expected (traced_warm basis))
+    [
+      ("wrong-length token", { Lp.Revised.vars = [||]; at_upper = [||] }, false);
+      ("previous solve's basis", prior, true);
+    ]
+
 let warm_equals_cold_random =
   QCheck.Test.make ~name:"warm start never changes the optimum" ~count:80
     (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100_000))
@@ -169,6 +195,8 @@ let () =
           Alcotest.test_case "bland fallback" `Quick test_warm_bland_fallback;
           Alcotest.test_case "incompatible token ignored" `Quick
             test_warm_incompatible_ignored;
+          Alcotest.test_case "warm span attribute" `Quick
+            test_warm_span_attribute;
         ]
         @ List.map QCheck_alcotest.to_alcotest [ warm_equals_cold_random ] );
     ]

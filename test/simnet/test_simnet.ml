@@ -182,7 +182,6 @@ let test_engine_failures_inflate () =
     {
       Sensor.Failure.fail_prob = [| 0.; 1. |];  (* edge 1 always fails *)
       reroute_factor = [| 1.; 2. |];
-      drop_prob = [| 0.; 0. |];
     }
   in
   let rng = Rng.create 1 in
