@@ -12,11 +12,13 @@ test:
 	dune runtest
 
 # Robustness suites: adversarial LP corpus (degenerate / near-singular /
-# badly scaled), revised-vs-dense differential checks, and planner-level
+# badly scaled), revised-vs-dense differential checks, the kernel's
+# reach-vs-sweep and warm-vs-cold differential checks, and planner-level
 # solver-failure injection against the certified fallback chain.
 stress:
 	dune exec test/lp/test_lp_adversarial.exe
 	dune exec test/lp/test_lp_differential.exe
+	dune exec test/lp/test_lp_kernel.exe
 	dune exec test/core/test_robust.exe
 
 # The repo benchmark (BENCHMARK.json): four end-to-end workloads with

@@ -47,8 +47,15 @@ let try_add pc ~budget node =
   end
   else false
 
+(* NaN fails [budget < 0.] and every later comparison, so entry points
+   test [not (budget >= 0.)] and name themselves. *)
+let check_budget who budget =
+  if not (budget >= 0.) then
+    invalid_arg
+      (Printf.sprintf "%s: budget must be a non-negative number, got %g" who
+         budget)
+
 let chosen_by_colsum topo cost ~colsum ~budget =
-  if budget < 0. then invalid_arg "Greedy.chosen_by_colsum: negative budget";
   let n = topo.Sensor.Topology.n in
   let root = topo.Sensor.Topology.root in
   (* Candidates by decreasing column sum, node id breaking ties. *)
@@ -76,6 +83,7 @@ let chosen_by_colsum topo cost ~colsum ~budget =
   chosen
 
 let fallback topo cost ~colsum ~budget =
+  check_budget "Greedy.fallback" budget;
   let chosen = chosen_by_colsum topo cost ~colsum ~budget in
   let root = topo.Sensor.Topology.root in
   let objective = ref 0. in
@@ -87,7 +95,7 @@ let fallback topo cost ~colsum ~budget =
   (chosen, !objective)
 
 let plan topo cost samples ~budget =
-  if budget < 0. then invalid_arg "Greedy.plan: negative budget";
+  check_budget "Greedy.plan" budget;
   Plan.of_chosen topo
     (chosen_by_colsum topo cost ~colsum:samples.Sampling.Sample_set.colsum
        ~budget)

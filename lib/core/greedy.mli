@@ -30,6 +30,10 @@ val fallback :
     planners' answer when no LP solution can be certified, scored in the
     same currency as their LP objective. *)
 
+val check_budget : string -> float -> unit
+(** [check_budget who budget] refuses a negative or NaN budget with an
+    [Invalid_argument] naming the entry point [who]. *)
+
 (** {1 Path-cost accumulator} *)
 
 type path_cost

@@ -23,7 +23,7 @@ let is_alive alive i =
   match alive with None -> true | Some a -> a.(i)
 
 let build ?alive topo cost samples ~budget ~k =
-  if budget < 0. then invalid_arg "Lp_lf.plan: negative budget";
+  Greedy.check_budget "Lp_lf.lp_model" budget;
   if k < 1 then invalid_arg "Lp_lf.plan: k must be positive";
   check_alive topo alive;
   let n = topo.Sensor.Topology.n in
@@ -205,6 +205,7 @@ let plan_plain ?alive ?warm_start ?max_lp_iterations ?lp_deadline topo cost
 
 let plan ?alive ?warm_start ?max_lp_iterations ?lp_deadline ?guarantee topo
     cost samples ~budget ~k =
+  Greedy.check_budget "Lp_lf.plan" budget;
   match guarantee with
   | None ->
       plan_plain ?alive ?warm_start ?max_lp_iterations ?lp_deadline topo cost

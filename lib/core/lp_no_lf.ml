@@ -9,7 +9,7 @@ type result = {
 
 let plan ?warm_start ?max_lp_iterations ?lp_deadline topo cost samples ~budget
     =
-  if budget < 0. then invalid_arg "Lp_no_lf.plan: negative budget";
+  Greedy.check_budget "Lp_no_lf.plan" budget;
   let r =
     Ship_lp.plan_by_colsum ?warm_start ?max_lp_iterations ?lp_deadline topo
       cost ~colsum:samples.Sampling.Sample_set.colsum ~budget

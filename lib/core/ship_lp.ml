@@ -8,7 +8,7 @@ type result = {
 
 let plan_by_colsum ?warm_start ?max_lp_iterations ?lp_deadline topo cost
     ~colsum ~budget =
-  if budget < 0. then invalid_arg "Ship_lp.plan_by_colsum: negative budget";
+  Greedy.check_budget "Ship_lp.plan_by_colsum" budget;
   let n = topo.Sensor.Topology.n in
   if Array.length colsum <> n then
     invalid_arg "Ship_lp.plan_by_colsum: colsum length";

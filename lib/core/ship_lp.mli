@@ -29,4 +29,4 @@ val plan_by_colsum :
     comes from {!Greedy.fallback} instead and [provenance] says
     so — the function never raises on solver failure.  [warm_start] is
     best-effort: tokens from a differently shaped model are ignored.
-    @raise Invalid_argument on a negative budget. *)
+    @raise Invalid_argument on a negative or NaN budget. *)

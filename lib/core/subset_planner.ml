@@ -7,7 +7,7 @@ type result = {
 }
 
 let plan ?max_lp_iterations ?lp_deadline topo cost answers ~budget =
-  if budget < 0. then invalid_arg "Subset_planner.plan: negative budget";
+  Greedy.check_budget "Subset_planner.plan" budget;
   if answers.Sampling.Answers.n <> topo.Sensor.Topology.n then
     invalid_arg "Subset_planner.plan: network size mismatch";
   let r =

@@ -11,7 +11,9 @@ type t = {
 
 let validate ?(strict = false) t =
   let check c msg = if not c then invalid_arg ("Problem: " ^ msg) in
-  let checkf c fmt = Printf.ksprintf (check c) fmt in
+  (* Messages are formatted only on failure: the passing path of the
+     per-column checks costs a few float compares. *)
+  let fail fmt = Printf.ksprintf (fun msg -> invalid_arg ("Problem: " ^ msg)) fmt in
   check (t.nrows >= 0 && t.ncols >= 0) "negative dimensions";
   check (Array.length t.cols = t.ncols) "cols length";
   check (Array.length t.obj = t.ncols) "obj length";
@@ -23,35 +25,26 @@ let validate ?(strict = false) t =
       Sparse_vec.iter
         (fun i a ->
           if i >= t.nrows then
-            invalid_arg
-              (Printf.sprintf "Problem: column %d has row index %d >= nrows %d"
-                 j i t.nrows);
+            fail "column %d has row index %d >= nrows %d" j i t.nrows;
           if not (Float.is_finite a) then
-            invalid_arg
-              (Printf.sprintf
-                 "Problem: column %d has non-finite coefficient %g at row %d" j
-                 a i))
+            fail "column %d has non-finite coefficient %g at row %d" j a i)
         col;
       if strict && Sparse_vec.nnz col = 0 then
-        invalid_arg
-          (Printf.sprintf
-             "Problem: column %d is empty (appears in no constraint)" j))
+        fail "column %d is empty (appears in no constraint)" j)
     t.cols;
   for j = 0 to t.ncols - 1 do
-    checkf
-      (not (Float.is_nan t.lower.(j) || Float.is_nan t.upper.(j)))
-      "NaN bound on column %d" j;
-    checkf
-      (t.lower.(j) <= t.upper.(j))
-      "column %d has lower bound %g > upper bound %g" j t.lower.(j) t.upper.(j);
-    checkf (t.lower.(j) < infinity) "column %d has lower bound +inf" j;
-    checkf (t.upper.(j) > neg_infinity) "column %d has upper bound -inf" j;
-    checkf (Float.is_finite t.obj.(j))
-      "column %d has non-finite objective coefficient %g" j t.obj.(j)
+    let lo = t.lower.(j) and hi = t.upper.(j) in
+    if Float.is_nan lo || Float.is_nan hi then fail "NaN bound on column %d" j;
+    if not (lo <= hi) then
+      fail "column %d has lower bound %g > upper bound %g" j lo hi;
+    if not (lo < infinity) then fail "column %d has lower bound +inf" j;
+    if not (hi > neg_infinity) then fail "column %d has upper bound -inf" j;
+    if not (Float.is_finite t.obj.(j)) then
+      fail "column %d has non-finite objective coefficient %g" j t.obj.(j)
   done;
   for i = 0 to t.nrows - 1 do
-    checkf (Float.is_finite t.rhs.(i)) "row %d has non-finite rhs %g" i
-      t.rhs.(i)
+    if not (Float.is_finite t.rhs.(i)) then
+      fail "row %d has non-finite rhs %g" i t.rhs.(i)
   done;
   match t.basis_hint with
   | None -> ()

@@ -24,6 +24,11 @@ type stats = {
   bound_flips : int;
   drift_refactorizations : int;
   growth_refactorizations : int;
+  ftran_steps : int;
+  ftran_etas : int;
+  btran_steps : int;
+  btran_etas : int;
+  lu_nnz : int;
 }
 
 type basis = { vars : int array; at_upper : bool array }
@@ -61,23 +66,35 @@ type state = {
   where : int array;  (* variable -> slot, or -1 if nonbasic *)
   at_upper : bool array;  (* for nonbasic variables *)
   mutable lu : Lu.t;
+  lu_work : Lu.scratch;
   mutable etas : eta array;  (* oldest first; only [0, n_etas) valid *)
   mutable n_etas : int;
   mutable eta_nnz : int;  (* total off-pivot entries across live etas *)
   mutable lu_fill : int;  (* fill of the current factorization *)
+  (* The live etas that read or write each slot, ascending, at
+     [eta_by_slot.(s).(0 .. eta_by_slot_n.(s)-1)]: BTRAN visits only the
+     etas touching a nonzero slot. *)
+  eta_by_slot : int array array;
+  eta_by_slot_n : int array;
+  mutable eta_seen : int array;  (* eta -> stamp of the BTRAN visiting it *)
+  mutable eta_stamp : int;
+  (* -- work vectors, reused by every solve and cleared through their
+     patterns -- *)
+  fin : Lu.vec;  (* FTRAN input, row-indexed *)
+  w : Lu.vec;  (* FTRAN result; after [ftran], its nonzero slots ascending *)
+  bin : Lu.vec;  (* BTRAN input, slot-indexed *)
+  rho : Lu.vec;  (* BTRAN result, row-indexed *)
   (* -- pricing state -- *)
   banned : Bytes.t;  (* bitset over columns: 1 = skip in pricing *)
   weight : float array;  (* Devex-style reference weights *)
   dj : float array;  (* cached reduced costs *)
   dj_epoch : int array;  (* validity stamp for [dj] entries *)
   mutable epoch : int;  (* bumped per pivot / objective change *)
-  mutable y_cache : float array;  (* duals for the pricing objective *)
+  y_cache : float array;  (* duals for the pricing objective *)
   mutable y_epoch : int;
   cand : int array;  (* candidate list, length [cand_cap] *)
   mutable n_cand : int;
   mutable since_refill : int;  (* pivots taken from the current list *)
-  wnz : int array;  (* scratch: nonzero slots of the current FTRAN column *)
-  mutable n_wnz : int;
   (* -- counters / controls --
      The counters are the public per-solve [stats]. *)
   mutable iterations : int;
@@ -87,6 +104,11 @@ type state = {
   mutable growth_refactorizations : int;
   mutable degenerate_pivots : int;
   mutable bound_flips : int;
+  mutable ftran_steps : int;
+  mutable ftran_etas : int;
+  mutable btran_steps : int;
+  mutable btran_etas : int;
+  mutable lu_nnz : int;
   mutable consecutive_degenerate : int;
   mutable bland : bool;
   mutable pivots_since_drift_check : int;
@@ -108,45 +130,115 @@ let is_banned st j = Bytes.unsafe_get st.banned j <> '\000'
 let ban st j = Bytes.unsafe_set st.banned j '\001'
 let unban st j = Bytes.unsafe_set st.banned j '\000'
 
-(* Apply B^{-1} to a dense row-indexed vector, yielding a slot-indexed one. *)
-(* Callers of [ftran] pass a vector they own: it is clobbered as the
-   substitution work buffer. *)
-let ftran st v =
-  let v = Lu.solve_mut st.lu v in
+(* FTRAN of column [q]: [st.w] <- B^{-1} a_q, its pattern the nonzero
+   slots in ascending order (ratio-test ties and eta rows depend on that
+   order).  Etas apply oldest first; one whose pivot entry is zero is
+   skipped, and the others extend the pattern as they scatter. *)
+let ftran st q =
+  let col = st.cols.(q) and fin = st.fin and w = st.w in
+  let idx = col.Sparse_vec.idx and value = col.Sparse_vec.value in
+  for p = 0 to Array.length idx - 1 do
+    Lu.push fin idx.(p);
+    fin.values.(idx.(p)) <- value.(p)
+  done;
+  Lu.clear w;
+  st.ftran_steps <- st.ftran_steps + Lu.ftran st.lu st.lu_work fin w;
+  let v = w.values in
   for k = 0 to st.n_etas - 1 do
     let e = st.etas.(k) in
-    let t = v.(e.slot) /. e.wp in
-    v.(e.slot) <- t;
-    if t <> 0. then
-      for p = 0 to Array.length e.rows - 1 do
-        v.(e.rows.(p)) <- v.(e.rows.(p)) -. (e.vals.(p) *. t)
-      done
+    if v.(e.slot) <> 0. then begin
+      st.ftran_etas <- st.ftran_etas + 1;
+      let t = v.(e.slot) /. e.wp in
+      v.(e.slot) <- t;
+      if t <> 0. then
+        for p = 0 to Array.length e.rows - 1 do
+          let r = e.rows.(p) in
+          Lu.push w r;
+          v.(r) <- v.(r) -. (e.vals.(p) *. t)
+        done
+    end
   done;
-  v
+  Lu.tidy w
 
-(* Apply B^{-T} to a dense slot-indexed vector, yielding a row-indexed one.
-   Etas are applied newest-first, then the LU transpose solve. *)
-let btran st c =
-  let c = Array.copy c in
-  for k = st.n_etas - 1 downto 0 do
-    let e = st.etas.(k) in
-    let acc = ref 0. in
-    for p = 0 to Array.length e.rows - 1 do
-      acc := !acc +. (e.vals.(p) *. c.(e.rows.(p)))
-    done;
-    c.(e.slot) <- (c.(e.slot) -. !acc) /. e.wp
+(* Mark for the running BTRAN every live eta older than [below] that reads
+   or writes slot [s]. *)
+let mark_etas st s below =
+  let ks = st.eta_by_slot.(s) in
+  let p = ref 0 and n = st.eta_by_slot_n.(s) in
+  while !p < n && ks.(!p) < below do
+    st.eta_seen.(ks.(!p)) <- st.eta_stamp;
+    incr p
+  done
+
+(* BTRAN of [st.bin] (slot-indexed, consumed): [st.rho] <- B^{-T} bin.
+   Etas apply newest first, visiting only those that touch a nonzero
+   slot; then the LU transpose solve. *)
+let btran st =
+  let c = st.bin in
+  let v = c.values in
+  st.eta_stamp <- st.eta_stamp + 1;
+  for p = 0 to c.count - 1 do
+    mark_etas st c.index.(p) st.n_etas
   done;
-  Lu.solve_transpose_mut st.lu c
+  for k = st.n_etas - 1 downto 0 do
+    if st.eta_seen.(k) = st.eta_stamp then begin
+      st.btran_etas <- st.btran_etas + 1;
+      let e = st.etas.(k) in
+      let acc = ref 0. in
+      for p = 0 to Array.length e.rows - 1 do
+        acc := !acc +. (e.vals.(p) *. v.(e.rows.(p)))
+      done;
+      v.(e.slot) <- (v.(e.slot) -. !acc) /. e.wp;
+      if Bytes.get c.member e.slot = '\000' then begin
+        Lu.push c e.slot;
+        mark_etas st e.slot k
+      end
+    end
+  done;
+  Lu.clear st.rho;
+  st.btran_steps <- st.btran_steps + Lu.btran st.lu st.lu_work c st.rho
+
+(* Duals of the basic costs [c.(basis)] into [dst] (dense, row-indexed). *)
+let duals_into st c dst =
+  for slot = 0 to st.m - 1 do
+    let x = c.(st.basis.(slot)) in
+    if x <> 0. then begin
+      Lu.push st.bin slot;
+      st.bin.values.(slot) <- x
+    end
+  done;
+  btran st;
+  Array.fill dst 0 st.m 0.;
+  for p = 0 to st.rho.count - 1 do
+    let i = st.rho.index.(p) in
+    dst.(i) <- st.rho.values.(i)
+  done
 
 let push_eta st e =
   let cap = Array.length st.etas in
   if st.n_etas >= cap then begin
     let bigger = Array.make (2 * Int.max 1 cap) dummy_eta in
     Array.blit st.etas 0 bigger 0 st.n_etas;
-    st.etas <- bigger
+    st.etas <- bigger;
+    let seen = Array.make (2 * Int.max 1 cap) 0 in
+    Array.blit st.eta_seen 0 seen 0 st.n_etas;
+    st.eta_seen <- seen
   end;
-  st.etas.(st.n_etas) <- e;
-  st.n_etas <- st.n_etas + 1;
+  let k = st.n_etas in
+  let index s =
+    let n = st.eta_by_slot_n.(s) in
+    if n = Array.length st.eta_by_slot.(s) then begin
+      let bigger = Array.make ((2 * n) + 4) 0 in
+      Array.blit st.eta_by_slot.(s) 0 bigger 0 n;
+      st.eta_by_slot.(s) <- bigger
+    end;
+    st.eta_by_slot.(s).(n) <- k;
+    st.eta_by_slot_n.(s) <- n + 1
+  in
+  index e.slot;
+  Array.iter index e.rows;
+  st.etas.(k) <- e;
+  st.n_etas <- k + 1;
   st.eta_nnz <- st.eta_nnz + Array.length e.rows
 
 let refactorize st =
@@ -154,7 +246,9 @@ let refactorize st =
   st.lu <- Lu.factor ~dim:st.m basis_cols;
   st.n_etas <- 0;
   st.eta_nnz <- 0;
+  Array.fill st.eta_by_slot_n 0 st.m 0;
   st.lu_fill <- Lu.fill_nnz st.lu;
+  st.lu_nnz <- st.lu_nnz + st.lu_fill;
   st.refactorizations <- st.refactorizations + 1;
   (* Invalidate pricing caches: the fresh factorization purges drift, so
      reduced costs are recomputed from scratch on the next pricing call. *)
@@ -173,7 +267,7 @@ let refactorize st =
 (* Duals for the current pricing objective [c]; cached per basis change. *)
 let ensure_y st c =
   if st.y_epoch <> st.epoch then begin
-    st.y_cache <- btran st (Array.map (fun j -> c.(j)) st.basis);
+    duals_into st c st.y_cache;
     st.y_epoch <- st.epoch
   end
 
@@ -323,8 +417,8 @@ let ratio_test st q dir w =
   let best_slot = ref (-1) in
   let best_to_upper = ref false in
   let best_wabs = ref 0. in
-  for p = 0 to st.n_wnz - 1 do
-    let slot = st.wnz.(p) in
+  for p = 0 to st.w.count - 1 do
+    let slot = st.w.index.(p) in
     let wv = w.(slot) in
     if Float.abs wv > pivot_tol then begin
       let i = st.basis.(slot) in
@@ -360,8 +454,8 @@ let ratio_test st q dir w =
 let apply_flip st q dir w =
   let range = st.upper.(q) -. st.lower.(q) in
   let delta = dir *. range in
-  for p = 0 to st.n_wnz - 1 do
-    let slot = st.wnz.(p) in
+  for p = 0 to st.w.count - 1 do
+    let slot = st.w.index.(p) in
     let i = st.basis.(slot) in
     st.xval.(i) <- st.xval.(i) -. (delta *. w.(slot))
   done;
@@ -381,9 +475,10 @@ let apply_pivot st q dir w slot t to_upper =
   let next = st.epoch + 1 in
   let dq = if st.dj_epoch.(q) = st.epoch then st.dj.(q) else 0. in
   if dq <> 0. && st.y_epoch = st.epoch then begin
-    let er = Array.make st.m 0. in
-    er.(slot) <- 1.;
-    let rho = btran st er in
+    Lu.push st.bin slot;
+    st.bin.values.(slot) <- 1.;
+    btran st;
+    let rho = st.rho.values in
     let gamma_ref = Float.max 1. st.weight.(q) in
     for idx = 0 to st.n_cand - 1 do
       let j = st.cand.(idx) in
@@ -396,7 +491,8 @@ let apply_pivot st q dir w slot t to_upper =
       end
     done;
     let s = dq /. wp in
-    for i = 0 to st.m - 1 do
+    for p = 0 to st.rho.count - 1 do
+      let i = st.rho.index.(p) in
       if rho.(i) <> 0. then
         st.y_cache.(i) <- st.y_cache.(i) +. (s *. rho.(i))
     done;
@@ -421,8 +517,8 @@ let apply_pivot st q dir w slot t to_upper =
   st.epoch <- next;
   st.since_refill <- st.since_refill + 1;
   (* -- the pivot proper -- *)
-  for p = 0 to st.n_wnz - 1 do
-    let s = st.wnz.(p) in
+  for p = 0 to st.w.count - 1 do
+    let s = st.w.index.(p) in
     let i = st.basis.(s) in
     st.xval.(i) <- st.xval.(i) -. (t *. dir *. w.(s))
   done;
@@ -437,14 +533,14 @@ let apply_pivot st q dir w slot t to_upper =
   (* Record the eta factor (two passes over the nonzero pattern: count,
      then fill). *)
   let nnz = ref 0 in
-  for p = 0 to st.n_wnz - 1 do
-    let s = st.wnz.(p) in
+  for p = 0 to st.w.count - 1 do
+    let s = st.w.index.(p) in
     if s <> slot && Float.abs w.(s) > 1e-12 then incr nnz
   done;
   let rows = Array.make !nnz 0 and vals = Array.make !nnz 0. in
   let idx = ref 0 in
-  for p = 0 to st.n_wnz - 1 do
-    let s = st.wnz.(p) in
+  for p = 0 to st.w.count - 1 do
+    let s = st.w.index.(p) in
     if s <> slot && Float.abs w.(s) > 1e-12 then begin
       rows.(!idx) <- s;
       vals.(!idx) <- w.(s);
@@ -489,18 +585,15 @@ let drift_tol = 1e-7
    basic values from scratch — and the FTRAN is retried on fresh
    factors. *)
 let ftran_checked st q =
-  let spread st q =
-    let aq = Array.make st.m 0. in
-    Sparse_vec.iter (fun i x -> aq.(i) <- x) st.cols.(q);
-    aq
-  in
-  let w = ftran st (spread st q) in
+  ftran st q;
   if st.n_etas > 0 && st.pivots_since_drift_check >= drift_check_interval
   then begin
     st.pivots_since_drift_check <- 0;
+    let w = st.w.values in
     let r = Array.make st.m 0. in
-    for s = 0 to st.m - 1 do
-      if w.(s) <> 0. then Sparse_vec.axpy_dense w.(s) st.cols.(st.basis.(s)) r
+    for p = 0 to st.w.count - 1 do
+      let s = st.w.index.(p) in
+      Sparse_vec.axpy_dense w.(s) st.cols.(st.basis.(s)) r
     done;
     Sparse_vec.iter (fun i x -> r.(i) <- r.(i) -. x) st.cols.(q);
     let worst =
@@ -511,11 +604,9 @@ let ftran_checked st q =
           f "FTRAN residual %.3g after %d etas: refactorizing" worst st.n_etas);
       st.drift_refactorizations <- st.drift_refactorizations + 1;
       refactorize st;
-      ftran st (spread st q)
+      ftran st q
     end
-    else w
   end
-  else w
 
 let past_deadline st =
   st.loop_ticks <- st.loop_ticks + 1;
@@ -544,17 +635,10 @@ let optimize st c ~phase1 ~max_iterations =
       match price st c with
       | None -> Optimal
       | Some (q, dir) -> (
-          let w = ftran_checked st q in
-          (* One dense pass records the nonzero pattern; the ratio test,
-             bound flips, pivot application and eta extraction all iterate
-             the (typically short) pattern instead of all [m] slots. *)
-          st.n_wnz <- 0;
-          for s = 0 to st.m - 1 do
-            if w.(s) <> 0. then begin
-              st.wnz.(st.n_wnz) <- s;
-              st.n_wnz <- st.n_wnz + 1
-            end
-          done;
+          ftran_checked st q;
+          (* The ratio test, bound flips, pivot application and eta
+             extraction all iterate the FTRAN pattern, not all [m] slots. *)
+          let w = st.w.values in
           match ratio_test st q dir w with
           | Ray ->
               if phase1 then Optimal (* cannot happen; be safe *)
@@ -564,8 +648,8 @@ let optimize st c ~phase1 ~max_iterations =
                    basic variables compensate along the FTRAN column. *)
                 let ray = Array.make st.ntot 0. in
                 ray.(q) <- dir;
-                for p = 0 to st.n_wnz - 1 do
-                  let s = st.wnz.(p) in
+                for p = 0 to st.w.count - 1 do
+                  let s = st.w.index.(p) in
                   ray.(st.basis.(s)) <- -.dir *. w.(s)
                 done;
                 st.last_ray <- Some ray;
@@ -621,10 +705,19 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
     where;
     at_upper;
     lu;
+    lu_work = Lu.scratch m;
     etas = Array.make 16 dummy_eta;
     n_etas = 0;
     eta_nnz = 0;
     lu_fill = Lu.fill_nnz lu;
+    eta_by_slot = Array.make m [||];
+    eta_by_slot_n = Array.make m 0;
+    eta_seen = Array.make 16 0;
+    eta_stamp = 0;
+    fin = Lu.vec m;
+    w = Lu.vec m;
+    bin = Lu.vec m;
+    rho = Lu.vec m;
     banned = Bytes.make ntot '\000';
     weight = Array.make ntot 1.;
     dj = Array.make ntot 0.;
@@ -635,8 +728,6 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
     cand = Array.make cand_cap (-1);
     n_cand = 0;
     since_refill = 0;
-    wnz = Array.make m 0;
-    n_wnz = 0;
     iterations = 0;
     phase1_iterations = 0;
     refactorizations = 0;
@@ -644,6 +735,11 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
     growth_refactorizations = 0;
     degenerate_pivots = 0;
     bound_flips = 0;
+    ftran_steps = 0;
+    ftran_etas = 0;
+    btran_steps = 0;
+    btran_etas = 0;
+    lu_nnz = Lu.fill_nnz lu;
     consecutive_degenerate = 0;
     bland = false;
     pivots_since_drift_check = 0;
@@ -670,10 +766,10 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
   let finish ?farkas st status =
     let x = Array.sub st.xval 0 n in
     let objective = Problem.objective_value prob x in
-    let duals =
-      btran st
-        (Array.map (fun j -> if j < n then prob.Problem.obj.(j) else 0.) st.basis)
-    in
+    let duals = Array.make m 0. in
+    let c = Array.make ntot 0. in
+    Array.blit prob.Problem.obj 0 c 0 n;
+    duals_into st c duals;
     let basis =
       {
         vars = Array.map (fun j -> if j < n then j else -1) st.basis;
@@ -700,6 +796,11 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
           growth_refactorizations = st.growth_refactorizations;
           degenerate_pivots = st.degenerate_pivots;
           bound_flips = st.bound_flips;
+          ftran_steps = st.ftran_steps;
+          ftran_etas = st.ftran_etas;
+          btran_steps = st.btran_steps;
+          btran_etas = st.btran_etas;
+          lu_nnz = st.lu_nnz;
         };
       farkas = (if status = Infeasible then farkas else None);
       ray;
@@ -812,7 +913,8 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
                optimum every problem column's reduced cost [-y'a_j] prices
                out against its bound, so [y'b - sup y'Ax] equals the
                residual infeasibility, which is positive. *)
-            let farkas = btran st (Array.map (fun j -> c1.(j)) st.basis) in
+            let farkas = Array.make m 0. in
+            duals_into st c1 farkas;
             finish ~farkas st Infeasible
           end
           else begin
@@ -949,6 +1051,11 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
           Obs.Trace.Int res.stats.growth_refactorizations );
         ("degenerate_pivots", Obs.Trace.Int res.stats.degenerate_pivots);
         ("bound_flips", Obs.Trace.Int res.stats.bound_flips);
+        ("ftran_steps", Obs.Trace.Int res.stats.ftran_steps);
+        ("ftran_etas", Obs.Trace.Int res.stats.ftran_etas);
+        ("btran_steps", Obs.Trace.Int res.stats.btran_steps);
+        ("btran_etas", Obs.Trace.Int res.stats.btran_etas);
+        ("lu_nnz", Obs.Trace.Int res.stats.lu_nnz);
         ("warm", Obs.Trace.Bool warm_used);
       ];
     res

@@ -34,6 +34,14 @@ type stats = {
           basis no longer reproduces the entering column to tolerance) *)
   growth_refactorizations : int;
       (** refactorizations forced by eta-file growth outpacing the LU fill *)
+  ftran_steps : int;
+      (** LU elimination steps processed by the FTRANs of entering
+          columns (L and U together; a full sweep counts [2 * nrows]) *)
+  ftran_etas : int;  (** etas those FTRANs applied (nonzero pivot entry) *)
+  btran_steps : int;
+      (** LU steps processed by the BTRANs (pivot rows, duals) *)
+  btran_etas : int;  (** etas those BTRANs visited *)
+  lu_nnz : int;  (** LU nonzeros, summed over every factorization *)
 }
 
 type basis = {

@@ -610,6 +610,87 @@ let test_pinned_iteration_counts () =
   Alcotest.(check (float 0.)) "warm objective equals cold"
     cold.Prospector.Lp_lf.lp_objective warm.Prospector.Lp_lf.lp_objective
 
+(* The kernel's work counters are plain deterministic counts: identical
+   across repeated solves and whether or not a trace sink is installed.
+   On the n=100 LP+LF instance the pivot-row BTRANs must stay
+   hypersparse: a full sweep would visit 2m steps per pivot. *)
+let test_kernel_work_counters () =
+  let topo, cost, samples, budget =
+    iteration_instance ~n:100 ~n_samples:30 ~k:20
+  in
+  let stats () =
+    match
+      (Prospector.Lp_lf.plan topo cost samples ~budget ~k:20)
+        .Prospector.Lp_lf.lp_stats
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "revised solver did not run"
+  in
+  let counts (s : Lp.Revised.stats) =
+    [ s.iterations; s.ftran_steps; s.ftran_etas; s.btran_steps;
+      s.btran_etas; s.lu_nnz ]
+  in
+  let first = stats () in
+  Alcotest.(check (list int)) "repeat" (counts first) (counts (stats ()));
+  let sink = Obs.Trace.create () in
+  Obs.Trace.install (Some sink);
+  let traced =
+    Fun.protect ~finally:(fun () -> Obs.Trace.install None) stats
+  in
+  Alcotest.(check (list int)) "trace on" (counts first) (counts traced);
+  let span =
+    List.find
+      (fun (e : Obs.Trace.event) -> e.Obs.Trace.name = "lp.revised")
+      (Obs.Trace.events sink)
+  in
+  Alcotest.(check (option (float 0.))) "span carries btran_steps"
+    (Some (float_of_int first.btran_steps))
+    (Obs.Trace.number span "btran_steps");
+  let m =
+    (Lp.Model.to_problem
+       (Prospector.Lp_lf.lp_model topo cost samples ~budget ~k:20))
+      .Lp.Problem.nrows
+  in
+  let per_pivot =
+    float_of_int (first.btran_steps + first.btran_etas)
+    /. float_of_int first.iterations
+  in
+  if not (per_pivot < float_of_int m /. 10.) then
+    Alcotest.failf "BTRAN visits %.1f per pivot, m = %d" per_pivot m;
+  Alcotest.(check bool) "counters nonzero" true
+    (first.ftran_steps > 0 && first.lu_nnz > 0)
+
+(* Every planner entry point refuses a negative or NaN budget by name
+   (NaN passes a [budget < 0.] test). *)
+let test_budget_checks () =
+  let topo, cost, samples, _ = iteration_instance ~n:50 ~n_samples:15 ~k:10 in
+  let colsum = samples.Sampling.Sample_set.colsum in
+  let entries =
+    [
+      ("Greedy.plan", fun budget -> ignore (Prospector.Greedy.plan topo cost samples ~budget));
+      ( "Greedy.fallback",
+        fun budget -> ignore (Prospector.Greedy.fallback topo cost ~colsum ~budget) );
+      ( "Lp_lf.plan",
+        fun budget -> ignore (Prospector.Lp_lf.plan topo cost samples ~budget ~k:10) );
+      ( "Ship_lp.plan_by_colsum",
+        fun budget -> ignore (Prospector.Ship_lp.plan_by_colsum topo cost ~colsum ~budget) );
+    ]
+  in
+  List.iter
+    (fun (who, f) ->
+      List.iter
+        (fun budget ->
+          let expected =
+            Printf.sprintf "%s: budget must be a non-negative number, got %g"
+              who budget
+          in
+          match f budget with
+          | () -> Alcotest.failf "%s accepted budget %g" who budget
+          | exception Invalid_argument msg ->
+              Alcotest.(check string) (who ^ " message") expected msg)
+        [ -1.; Float.nan ])
+    entries
+
 let lp_proof_plans_are_valid =
   QCheck.Test.make
     ~name:"LP-PROOF plans have bandwidth >= 1 everywhere and prove a lot"
@@ -728,6 +809,9 @@ let () =
           Alcotest.test_case "LP-PROOF budget check" `Quick test_lp_proof_budget_too_small;
           Alcotest.test_case "pinned simplex iteration counts" `Quick
             test_pinned_iteration_counts;
+          Alcotest.test_case "kernel work counters" `Quick
+            test_kernel_work_counters;
+          Alcotest.test_case "budget checks" `Quick test_budget_checks;
         ] );
       ( "evaluate",
         [ Alcotest.test_case "points are sane" `Quick test_evaluate_points ] );

@@ -66,6 +66,54 @@ let test_validate_bad_hint () =
      Alcotest.fail "expected failure"
    with Invalid_argument _ -> ())
 
+(* Each invalid problem with the exact message [validate] raises: the
+   messages are part of the interface, formatted only on failure. *)
+let test_validate_messages () =
+  let b = base_problem in
+  let unit_cols =
+    [| Lp.Sparse_vec.of_assoc [ (0, 1.) ]; Lp.Sparse_vec.of_assoc [ (0, 2.) ] |]
+  in
+  let cases =
+    [
+      ( { (b ()) with lower = [| Float.nan; 0. |] },
+        "Problem: NaN bound on column 0" );
+      ( { (b ()) with upper = [| 1.; Float.nan |] },
+        "Problem: NaN bound on column 1" );
+      ( { (b ()) with lower = [| 2.; 0. |] },
+        "Problem: column 0 has lower bound 2 > upper bound 1" );
+      ( { (b ()) with lower = [| 0.; infinity |] },
+        "Problem: column 1 has lower bound +inf" );
+      ( { (b ()) with lower = [| neg_infinity; 0. |]; upper = [| neg_infinity; 1. |] },
+        "Problem: column 0 has upper bound -inf" );
+      ( { (b ()) with obj = [| 1.; infinity |] },
+        "Problem: column 1 has non-finite objective coefficient inf" );
+      ( { (b ()) with obj = [| Float.nan; 0. |] },
+        "Problem: column 0 has non-finite objective coefficient nan" );
+      ( { (b ()) with rhs = [| neg_infinity |] },
+        "Problem: row 0 has non-finite rhs -inf" );
+      ( { (b ()) with rhs = [| Float.nan |] },
+        "Problem: row 0 has non-finite rhs nan" );
+      ( { (b ()) with cols = [| Lp.Sparse_vec.of_assoc [ (0, 1.) ]; Lp.Sparse_vec.of_assoc [ (3, 1.) ] |] },
+        "Problem: column 1 has row index 3 >= nrows 1" );
+      ( { (b ()) with basis_hint = Some [| 0; 1 |] }, "Problem: basis_hint length" );
+      ( { (b ()) with basis_hint = Some [| 2 |] },
+        "Problem: basis_hint column out of range" );
+      ( { (b ()) with cols = unit_cols; basis_hint = Some [| 1 |] },
+        "Problem: basis_hint column not e_i" );
+      ( { (b ()) with
+          cols = [| Lp.Sparse_vec.of_assoc [ (0, 1.); (1, 1.) ]; Lp.Sparse_vec.of_assoc [ (0, 1.) ] |];
+          nrows = 2; rhs = [| 1.; 1. |]; basis_hint = Some [| 0; -1 |] },
+        "Problem: basis_hint column not a unit vector" );
+    ]
+  in
+  List.iter
+    (fun (p, expected) ->
+      match Lp.Problem.validate p with
+      | () -> Alcotest.failf "accepted: %s" expected
+      | exception Invalid_argument msg ->
+          Alcotest.(check string) "message" expected msg)
+    cases
+
 let test_problem_helpers () =
   let p = base_problem () in
   let x = [| 0.25; 0.5 |] in
@@ -309,6 +357,7 @@ let () =
           Alcotest.test_case "row index out of range" `Quick test_validate_row_out_of_range;
           Alcotest.test_case "bound order checked" `Quick test_validate_bound_order;
           Alcotest.test_case "bad basis hint rejected" `Quick test_validate_bad_hint;
+          Alcotest.test_case "exact validation messages" `Quick test_validate_messages;
           Alcotest.test_case "activity/objective/violation" `Quick test_problem_helpers;
         ] );
       ( "revised",
