@@ -13,13 +13,16 @@ test:
 
 # Robustness suites: adversarial LP corpus (degenerate / near-singular /
 # badly scaled), revised-vs-dense differential checks, the kernel's
-# reach-vs-sweep and warm-vs-cold differential checks, and planner-level
-# solver-failure injection against the certified fallback chain.
+# reach-vs-sweep and warm-vs-cold differential checks, planner-level
+# solver-failure injection against the certified fallback chain, and
+# LP+LF instance re-solves (patched budget and alive bounds, reused basis
+# factors) against freshly built models.
 stress:
 	dune exec test/lp/test_lp_adversarial.exe
 	dune exec test/lp/test_lp_differential.exe
 	dune exec test/lp/test_lp_kernel.exe
 	dune exec test/core/test_robust.exe
+	dune exec test/core/test_lp_lf_instance.exe
 
 # The repo benchmark (BENCHMARK.json): four end-to-end workloads with
 # per-layer metrics; see bench/e2e/README.md for its options.

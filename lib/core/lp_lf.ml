@@ -10,22 +10,23 @@ type result = {
   guarantee : Guarantee.t option;
 }
 
-let check_alive topo alive =
+let check_alive who topo alive =
   match alive with
   | None -> ()
   | Some a ->
       if Array.length a <> topo.Sensor.Topology.n then
-        invalid_arg "Lp_lf.plan: alive mask length mismatch";
+        invalid_arg (who ^ ": alive mask length mismatch");
       if not a.(topo.Sensor.Topology.root) then
-        invalid_arg "Lp_lf.plan: root cannot be dead"
+        invalid_arg (who ^ ": root cannot be dead")
 
 let is_alive alive i =
   match alive with None -> true | Some a -> a.(i)
 
-let build ?alive topo cost samples ~budget ~k =
-  Greedy.check_budget "Lp_lf.lp_model" budget;
-  if k < 1 then invalid_arg "Lp_lf.plan: k must be positive";
-  check_alive topo alive;
+(* The model, with the variable index of each node's z and b (-1 for the
+   root).  The budget row is the last constraint. *)
+let build ?alive ~who topo cost samples ~budget ~k =
+  if k < 1 then invalid_arg (who ^ ": k must be positive");
+  check_alive who topo alive;
   let n = topo.Sensor.Topology.n in
   let root = topo.Sensor.Topology.root in
   let ones = samples.Sampling.Sample_set.ones in
@@ -115,10 +116,68 @@ let build ?alive topo cost samples ~budget ~k =
         :: !budget_terms
   done;
   Lp.Model.add_le model !budget_terms budget;
-  (model, getb)
+  let index v = Option.fold ~none:(-1) ~some:Lp.Model.var_index v in
+  (model, Array.map index z, Array.map index b)
 
 let lp_model ?alive topo cost samples ~budget ~k =
-  fst (build ?alive topo cost samples ~budget ~k)
+  Greedy.check_budget "Lp_lf.lp_model" budget;
+  let model, _, _ =
+    build ?alive ~who:"Lp_lf.lp_model" topo cost samples ~budget ~k
+  in
+  model
+
+(* The budget enters the LP as one right-hand side and a dead node as one
+   upper bound, so an instance is built and lowered once and every solve
+   patches copies of those two arrays; the matrix is shared. *)
+type instance = {
+  topo : Sensor.Topology.t;
+  cost : Sensor.Cost.t;
+  samples : Sampling.Sample_set.t;
+  k : int;
+  model : Lp.Model.t;  (* built at budget 0, everyone alive *)
+  problem : Lp.Problem.t;  (* its lowering *)
+  z_cols : int array;
+  b_cols : int array;
+  budget_row : int;
+}
+
+let make_instance ~who topo cost samples ~k =
+  let model, z_cols, b_cols = build ~who topo cost samples ~budget:0. ~k in
+  let problem = Lp.Model.to_problem model in
+  {
+    topo;
+    cost;
+    samples;
+    k;
+    model;
+    problem;
+    z_cols;
+    b_cols;
+    budget_row = problem.Lp.Problem.nrows - 1;
+  }
+
+let instance topo cost samples ~k =
+  make_instance ~who:"Lp_lf.instance" topo cost samples ~k
+
+let patched ~who ?alive inst ~budget =
+  check_alive who inst.topo alive;
+  let p = inst.problem in
+  let rhs = Array.copy p.Lp.Problem.rhs in
+  rhs.(inst.budget_row) <- budget;
+  let upper =
+    match alive with
+    | None -> p.Lp.Problem.upper
+    | Some a ->
+        let u = Array.copy p.Lp.Problem.upper in
+        Array.iteri
+          (fun i z -> if z >= 0 && not a.(i) then u.(z) <- 0.)
+          inst.z_cols;
+        u
+  in
+  { p with Lp.Problem.rhs; upper }
+
+let problem ?alive inst ~budget =
+  patched ~who:"Lp_lf.problem" ?alive inst ~budget
 
 (* Emit one [Plan] span per planning decision, carrying where the plan
    came from and what the LP claimed for it. *)
@@ -141,15 +200,16 @@ let traced_plan ~topo ~budget ~k f =
     r
   end
 
-let plan_plain ?alive ?warm_start ?max_lp_iterations ?lp_deadline topo cost
-    samples ~budget ~k =
+let solve_lp ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline inst
+    ~budget =
+  let topo = inst.topo and cost = inst.cost and samples = inst.samples in
+  traced_plan ~topo ~budget ~k:inst.k @@ fun () ->
+  let problem = patched ~who ?alive inst ~budget in
   let n = topo.Sensor.Topology.n in
   let root = topo.Sensor.Topology.root in
-  traced_plan ~topo ~budget ~k @@ fun () ->
-  let model, getb = build ?alive topo cost samples ~budget ~k in
   match
     Robust_plan.solve ?warm_start ?max_iterations:max_lp_iterations
-      ?deadline:lp_deadline model
+      ?deadline:lp_deadline ~problem inst.model
   with
   | Error _ ->
       (* No certified LP solution: ship the greedy selection without local
@@ -183,12 +243,11 @@ let plan_plain ?alive ?warm_start ?max_lp_iterations ?lp_deadline topo cost
   let sol = r.Robust_plan.solution in
   let fractional = Array.make n 0. in
   for i = 0 to n - 1 do
-    if i <> root then fractional.(i) <- Lp.Model.value sol (getb i)
+    if i <> root then fractional.(i) <- sol.Lp.Model.values.(inst.b_cols.(i))
   done;
-  (* The budget row is the last constraint added. *)
   let budget_shadow_price =
     match sol.Lp.Model.row_duals with
-    | Some duals -> duals.(Array.length duals - 1)
+    | Some duals -> duals.(inst.budget_row)
     | None -> 0.
   in
   {
@@ -203,32 +262,60 @@ let plan_plain ?alive ?warm_start ?max_lp_iterations ?lp_deadline topo cost
     guarantee = None;
   }
 
-let plan ?alive ?warm_start ?max_lp_iterations ?lp_deadline ?guarantee topo
-    cost samples ~budget ~k =
-  Greedy.check_budget "Lp_lf.plan" budget;
+(* The guarantee ladder: one instance of the plan window, every rung a
+   re-solve of it at the rung's budget, each warm-started from the
+   previous rung's final basis. *)
+let ladder ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline ~eps ~delta
+    topo cost samples ~budget ~k =
+  let warm = ref warm_start in
+  let window = ref None in
+  let g =
+    Robust_plan.plan_with_guarantee ~eps ~delta
+      ~planner:(fun ~samples ~budget ->
+        let inst =
+          match !window with
+          | Some (s, inst) when s == samples -> inst
+          | _ ->
+              let inst = make_instance ~who topo cost samples ~k in
+              window := Some (samples, inst);
+              inst
+        in
+        let r =
+          solve_lp ~who ?alive ?warm_start:!warm ?max_lp_iterations
+            ?lp_deadline inst ~budget
+        in
+        (match r.basis with Some _ -> warm := r.basis | None -> ());
+        r)
+      ~describe:(fun r -> (r.plan, r.certify, Some r.lp_objective))
+      topo cost ~k samples ~budget
+  in
+  let chosen = g.Robust_plan.chosen in
+  {
+    chosen.Robust_plan.result with
+    guarantee = Some chosen.Robust_plan.guarantee;
+  }
+
+let solve ?alive ?warm_start ?max_lp_iterations ?lp_deadline ?guarantee inst
+    ~budget =
+  let who = "Lp_lf.solve" in
+  Greedy.check_budget who budget;
   match guarantee with
   | None ->
-      plan_plain ?alive ?warm_start ?max_lp_iterations ?lp_deadline topo cost
-        samples ~budget ~k
+      solve_lp ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline inst
+        ~budget
   | Some (eps, delta) ->
-      (* Escalation rungs re-solve the same LP shape with a perturbed
-         budget row: chain each rung's final basis into the next so the
-         ladder rides the warm-start fast path. *)
-      let warm = ref warm_start in
-      let g =
-        Robust_plan.plan_with_guarantee ~eps ~delta
-          ~planner:(fun ~samples ~budget ->
-            let r =
-              plan_plain ?alive ?warm_start:!warm ?max_lp_iterations
-                ?lp_deadline topo cost samples ~budget ~k
-            in
-            (match r.basis with Some _ -> warm := r.basis | None -> ());
-            r)
-          ~describe:(fun r -> (r.plan, r.certify, Some r.lp_objective))
-          topo cost ~k samples ~budget
-      in
-      let chosen = g.Robust_plan.chosen in
-      {
-        chosen.Robust_plan.result with
-        guarantee = Some chosen.Robust_plan.guarantee;
-      }
+      ladder ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline ~eps
+        ~delta inst.topo inst.cost inst.samples ~budget ~k:inst.k
+
+let plan ?alive ?warm_start ?max_lp_iterations ?lp_deadline ?guarantee topo
+    cost samples ~budget ~k =
+  let who = "Lp_lf.plan" in
+  Greedy.check_budget who budget;
+  match guarantee with
+  | None ->
+      solve_lp ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline
+        (make_instance ~who topo cost samples ~k)
+        ~budget
+  | Some (eps, delta) ->
+      ladder ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline ~eps
+        ~delta topo cost samples ~budget ~k

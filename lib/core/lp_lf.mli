@@ -50,8 +50,10 @@ val plan :
   budget:float ->
   k:int ->
   result
-(** [k] caps the useful bandwidth of any edge (sending more than [k]
-    values cannot improve a top-k answer).
+(** Builds an {!instance} and {!solve}s it once; to re-solve the same
+    deployment and window at other budgets or alive masks, keep the
+    instance instead.  [k] caps the useful bandwidth of any edge (sending
+    more than [k] values cannot improve a top-k answer).
 
     [alive] (default: everyone) masks dead nodes out of the plan without
     changing the LP's shape: a dead node's activation variable gets an
@@ -78,6 +80,52 @@ val plan :
     [guarantee].  Check attainment with {!Guarantee.meets} — an
     unattainable target still returns the best attempt rather than
     raising. *)
+
+(** {1 Re-solving one instance}
+
+    The LP depends on the topology, the costs, the sample window and
+    [k]; the energy budget is one right-hand side and a dead node one
+    upper bound.  An {!instance} is that LP built and lowered once: each
+    {!solve} patches copies of the budget row's right-hand side and of the
+    dead nodes' activation bounds and shares the matrix, so a re-solve
+    skips the model build and the lowering.  With a warm-start token whose
+    basis factors were computed on this instance (see {!Lp.Model.basis}),
+    it skips the factorization too. *)
+
+type instance
+(** Immutable: one instance may be solved from several domains at once. *)
+
+val instance :
+  Sensor.Topology.t ->
+  Sensor.Cost.t ->
+  Sampling.Sample_set.t ->
+  k:int ->
+  instance
+(** Build and lower the LP+LF program of a deployment and window.
+    @raise Invalid_argument if [k < 1]. *)
+
+val problem : ?alive:bool array -> instance -> budget:float -> Lp.Problem.t
+(** The lowered LP that {!solve} hands to every stage of the certified
+    chain at this [budget] and [alive] mask: the instance's lowering with
+    the budget row's right-hand side and the dead nodes' activation
+    bounds patched; the matrix is shared.  For diagnostics and external
+    certification, like {!lp_model}. *)
+
+val solve :
+  ?alive:bool array ->
+  ?warm_start:Lp.Model.basis ->
+  ?max_lp_iterations:int ->
+  ?lp_deadline:float ->
+  ?guarantee:float * float ->
+  instance ->
+  budget:float ->
+  result
+(** {!plan} on the instance's topology, costs, window and [k]: the same
+    result, bit for bit, with the same options.  Every stage of the
+    certified chain, the dense reference included, solves the LP at this
+    [budget] and [alive] mask.  With [guarantee], the escalation ladder
+    builds one instance of its planning half-window and re-solves every
+    rung from it. *)
 
 val lp_model :
   ?alive:bool array ->

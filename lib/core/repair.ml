@@ -128,9 +128,26 @@ let emit_span ~t0 ~dead ~outcome_str ~dropped ~changed ~floor ~delta_mj =
         ("delta_install_mj", Obs.Trace.Float delta_mj);
       ]
 
-let surgery ?warm_start ?max_lp_iterations ?lp_deadline ?(delta = 1e-6)
-    ?(min_floor = 0.) ?(assumed_dead = []) topo cost mica samples ~current
-    ~dead ~k ~budget =
+(* Independence split, as in Robust_plan.plan_with_guarantee: plan on the
+   first half, certify the repaired plan on the disjoint second half.
+   Windows too short to split reuse the full window and the bound carries
+   the documented bias.  Returns the planning half's LP+LF instance and
+   the certification half. *)
+let plan_window topo cost samples ~k =
+  let m = Sampling.Sample_set.n_samples samples in
+  let plan_w, cert_w =
+    if m >= 4 then
+      ( Sampling.Sample_set.slice samples ~offset:0 ~count:(m / 2),
+        Sampling.Sample_set.slice samples ~offset:(m / 2) ~count:(m - (m / 2))
+      )
+    else (samples, samples)
+  in
+  (Lp_lf.instance topo cost plan_w ~k, cert_w)
+
+(* [window ()] supplies the split, built only once surgery is warranted. *)
+let surgery_with ~window ?warm_start ?max_lp_iterations ?lp_deadline
+    ?(delta = 1e-6) ?(min_floor = 0.) ?(assumed_dead = []) topo cost mica
+    ~current ~dead ~k ~budget =
   let n = topo.Sensor.Topology.n in
   let root = topo.Sensor.Topology.root in
   if List.exists (fun i -> i = root) dead then
@@ -149,21 +166,10 @@ let surgery ?warm_start ?max_lp_iterations ?lp_deadline ?(delta = 1e-6)
     let t0 = Obs.Trace.now () in
     let alive = Array.make n true in
     List.iter (fun i -> alive.(i) <- false) now_closure;
-    (* Independence split, as in Robust_plan.plan_with_guarantee: plan on
-       the first half, certify the repaired plan on the disjoint second
-       half.  Windows too short to split reuse the full window and the
-       bound carries the documented bias. *)
-    let m = Sampling.Sample_set.n_samples samples in
-    let plan_w, cert_w =
-      if m >= 4 then
-        ( Sampling.Sample_set.slice samples ~offset:0 ~count:(m / 2),
-          Sampling.Sample_set.slice samples ~offset:(m / 2)
-            ~count:(m - (m / 2)) )
-      else (samples, samples)
-    in
+    let inst, cert_w = window () in
     let r =
-      Lp_lf.plan ~alive ?warm_start ?max_lp_iterations ?lp_deadline topo cost
-        plan_w ~budget ~k
+      Lp_lf.solve ~alive ?warm_start ?max_lp_iterations ?lp_deadline inst
+        ~budget
     in
     if r.Lp_lf.provenance = Robust_plan.Fell_back_greedy then begin
       emit_span ~t0 ~dead ~outcome_str:"refused_uncertified" ~dropped:0
@@ -232,6 +238,13 @@ let surgery ?warm_start ?max_lp_iterations ?lp_deadline ?(delta = 1e-6)
     end
   end
 
+let surgery ?warm_start ?max_lp_iterations ?lp_deadline ?delta ?min_floor
+    ?assumed_dead topo cost mica samples ~current ~dead ~k ~budget =
+  surgery_with
+    ~window:(fun () -> plan_window topo cost samples ~k)
+    ?warm_start ?max_lp_iterations ?lp_deadline ?delta ?min_floor
+    ?assumed_dead topo cost mica ~current ~dead ~k ~budget
+
 type controller = {
   topo : Sensor.Topology.t;
   cost : Sensor.Cost.t;
@@ -245,6 +258,10 @@ type controller = {
   mutable c_guarantee : Guarantee.t option;
   mutable installed_dead : int list;
   mutable warm : Lp.Model.basis option;
+  (* the last window observed, with its split: kept while the caller
+     passes the same window value, so surgeries only patch [alive] *)
+  mutable window :
+    (Sampling.Sample_set.t * (Lp_lf.instance * Sampling.Sample_set.t)) option;
   mutable c_repairs : int;
   mutable c_refusals : int;
   mutable c_repair_mj : float;
@@ -266,6 +283,7 @@ let create ?confirm_after ?clear_after ?(delta = 1e-6) ?(min_floor = 0.) topo
     c_guarantee = guarantee;
     installed_dead = [];
     warm = None;
+    window = None;
     c_repairs = 0;
     c_refusals = 0;
     c_repair_mj = 0.;
@@ -281,10 +299,18 @@ let observe ?probed c samples ~dark =
       (fun i -> i <> c.topo.Sensor.Topology.root)
       (Health.confirmed_dead c.c_health)
   in
+  let window () =
+    match c.window with
+    | Some (s, w) when s == samples -> w
+    | _ ->
+        let w = plan_window c.topo c.cost samples ~k:c.k in
+        c.window <- Some (samples, w);
+        w
+  in
   let outcome =
-    surgery ?warm_start:c.warm ~delta:c.delta ~min_floor:c.min_floor
-      ~assumed_dead:c.installed_dead c.topo c.cost c.mica samples
-      ~current:c.c_plan ~dead ~k:c.k ~budget:c.budget
+    surgery_with ~window ?warm_start:c.warm ~delta:c.delta
+      ~min_floor:c.min_floor ~assumed_dead:c.installed_dead c.topo c.cost
+      c.mica ~current:c.c_plan ~dead ~k:c.k ~budget:c.budget
   in
   (match outcome with
   | Unnecessary -> ()

@@ -159,7 +159,10 @@ val observe :
     nodes, see {!Health.observe}), run surgery when the confirmed-dead
     set's effect on the installed plan changed, and install the repair
     unless refused.  [samples] is the current sample window (used to
-    plan and re-certify).  Warm-start tokens chain across repairs; a
+    plan and re-certify).  The controller keeps the LP+LF instance of
+    the window's planning half while [samples] is the same value
+    (physically), so a surgery on an unchanged window only patches the
+    alive mask into it.  Warm-start tokens chain across repairs; a
     confirmed-dark root is ignored (an unreachable root means no query
     at all, not a repairable plan). *)
 

@@ -15,7 +15,7 @@ type failure =
   | Proved_unbounded of Lp.Certify.report
   | No_certified_solution of string list
 
-let solve ?warm_start ?max_iterations ?deadline model =
+let solve ?warm_start ?max_iterations ?deadline ?problem model =
   (* Every planner (Replan, Repair, the serving layer's warm-basis pool)
      funnels its warm-start tokens through here, so this one call to the
      LP layer's shared predicate is the basis-compatibility check for all
@@ -28,7 +28,8 @@ let solve ?warm_start ?max_iterations ?deadline model =
     | w -> w
   in
   let sol, report =
-    Lp.Model.solve_certified ?warm_start ?max_iterations ?deadline model
+    Lp.Model.solve_certified ?warm_start ?max_iterations ?deadline ?problem
+      model
   in
   if report.Lp.Certify.certified then
     match sol.Lp.Model.status with
@@ -45,7 +46,7 @@ let solve ?warm_start ?max_iterations ?deadline model =
         m "revised solve not certified (%s); retrying with the dense reference"
           (String.concat "; " revised_reasons));
     let dsol, dreport =
-      Lp.Model.solve_dense_certified ?max_pivots:max_iterations model
+      Lp.Model.solve_dense_certified ?max_pivots:max_iterations ?problem model
     in
     if dreport.Lp.Certify.certified then
       Ok { solution = dsol; report = dreport; provenance = Certified_dense }

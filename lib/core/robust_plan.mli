@@ -42,6 +42,7 @@ val solve :
   ?warm_start:Lp.Model.basis ->
   ?max_iterations:int ->
   ?deadline:float ->
+  ?problem:Lp.Problem.t ->
   Lp.Model.t ->
   (lp_result, failure) result
 (** Run the chain on a model.  [max_iterations] caps the revised solver's
@@ -51,7 +52,11 @@ val solve :
     {!Lp.Model.basis_compatible} predicate — the single implementation of
     the shape rule for every planner routing through this chain ([Replan],
     [Repair], the serving layer's warm-basis pool); an incompatible token
-    is dropped and the solve starts cold.  Never raises on solver failure: the worst outcome is
+    is dropped and the solve starts cold.  [problem] is the model's
+    lowering with patched right-hand sides or bounds
+    ({!Lp.Model.solve_certified}); both stages solve that patched LP, so a
+    re-solve never falls back to the model's build-time data.  Never
+    raises on solver failure: the worst outcome is
     [Error (No_certified_solution _)], which a planner answers with its
     greedy fallback. *)
 

@@ -19,21 +19,26 @@ let blank =
 
 let reject reason = { blank with reasons = [ reason ] }
 
+(* The checks below run once per certified solve, so their loops walk
+   the column arrays directly: no closure or boxed float per column. *)
+
 (* Scaled residual of [A x = rhs]: each row divided by
    [1 + |rhs_i| + sum_j |a_ij x_j|]. *)
 let primal_residual (p : Problem.t) x =
   let act = Array.make p.Problem.nrows 0. in
   let mag = Array.make p.Problem.nrows 0. in
-  Array.iteri
-    (fun j col ->
-      let xj = x.(j) in
-      if xj <> 0. then
-        Sparse_vec.iter
-          (fun i a ->
-            act.(i) <- act.(i) +. (a *. xj);
-            mag.(i) <- mag.(i) +. Float.abs (a *. xj))
-          col)
-    p.Problem.cols;
+  for j = 0 to Array.length p.Problem.cols - 1 do
+    let xj = x.(j) in
+    if xj <> 0. then begin
+      let col = p.Problem.cols.(j) in
+      for q = 0 to Array.length col.idx - 1 do
+        let i = col.idx.(q) in
+        let t = col.value.(q) *. xj in
+        act.(i) <- act.(i) +. t;
+        mag.(i) <- mag.(i) +. Float.abs t
+      done
+    end
+  done;
   let worst = ref 0. in
   for i = 0 to p.Problem.nrows - 1 do
     let scale = 1. +. Float.abs p.Problem.rhs.(i) +. mag.(i) in
@@ -52,18 +57,6 @@ let bound_violation (p : Problem.t) x =
       worst := Float.max !worst ((x.(j) -. p.Problem.upper.(j)) /. scale)
   done;
   Float.max !worst 0.
-
-(* Reduced costs [d_j = c_j - y'a_j] with per-column scale
-   [1 + |c_j| + sum_i |a_ij y_i|]. *)
-let reduced_costs (p : Problem.t) y =
-  Array.init p.Problem.ncols (fun j ->
-      let zy = ref 0. and mag = ref 0. in
-      Sparse_vec.iter
-        (fun i a ->
-          zy := !zy +. (a *. y.(i));
-          mag := !mag +. Float.abs (a *. y.(i)))
-        p.Problem.cols.(j);
-      (p.Problem.obj.(j) -. !zy, 1. +. Float.abs p.Problem.obj.(j) +. !mag))
 
 let finalize ~reasons report = { report with certified = reasons = []; reasons }
 
@@ -91,10 +84,18 @@ let certify_optimal ?(feas_tol = 1e-6) ?(opt_tol = 1e-6) (p : Problem.t) ~x
     for i = 0 to p.Problem.nrows - 1 do
       dual_obj := !dual_obj +. (duals.(i) *. p.Problem.rhs.(i))
     done;
-    let rc = reduced_costs p duals in
     for j = 0 to p.Problem.ncols - 1 do
-      let d, scale = rc.(j) in
-      let rel = d /. scale in
+      (* Reduced cost [d_j = c_j - y'a_j] with per-column scale
+         [1 + |c_j| + sum_i |a_ij y_i|]. *)
+      let col = p.Problem.cols.(j) in
+      let zy = ref 0. and mag = ref 0. in
+      for q = 0 to Array.length col.idx - 1 do
+        let t = col.value.(q) *. duals.(col.idx.(q)) in
+        zy := !zy +. t;
+        mag := !mag +. Float.abs t
+      done;
+      let d = p.Problem.obj.(j) -. !zy in
+      let rel = d /. (1. +. Float.abs p.Problem.obj.(j) +. !mag) in
       if rel > opt_tol then
         if p.Problem.lower.(j) > neg_infinity then
           dual_obj := !dual_obj +. (d *. p.Problem.lower.(j))

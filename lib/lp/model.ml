@@ -44,7 +44,14 @@ and finalized = {
   f_uppers : float array;
 }
 
-type basis = { b_nvars : int; b_nrows : int; rb : Revised.basis }
+(* [cell] holds the factors of [rb] once a solve has computed them; see
+   {!Revised.solve_factored}. *)
+type basis = {
+  b_nvars : int;
+  b_nrows : int;
+  rb : Revised.basis;
+  cell : Revised.factor_cell;
+}
 
 type solution = {
   status : status;
@@ -131,10 +138,26 @@ let value sol v = sol.values.(v)
 
 (* ---- lowering to the revised solver's computational form ---- *)
 
+let non_finite t i c v =
+  invalid_arg
+    (Printf.sprintf
+       "Model.to_problem: row %d has non-finite coefficient %g for variable \
+        %d (%s)"
+       i c v
+       (finalize t).f_names.(v))
+
+(* The matrix is assembled in compressed-column form in two passes over
+   the rows: count each column's terms, then fill them.  Rows go in
+   order, so each column's entries come out by ascending row; a row's
+   terms go in reverse, so duplicates sum in the order
+   {!Sparse_vec.of_assoc} would sum them (latest term first), and the
+   same zero and [drop_tol] filters apply: the columns are bit for bit
+   those of [of_assoc] on each column's terms. *)
 let to_problem t =
   let n = t.nvars and m = t.nrows in
   let f = finalize t in
-  let rows = Array.of_list (List.rev t.rows) in
+  let rows = Array.make m { terms = []; sense = Le; rhs = 0. } in
+  List.iteri (fun k r -> rows.(m - 1 - k) <- r) t.rows;
   let lower = Array.make (n + m) 0. and upper = Array.make (n + m) 0. in
   Array.blit f.f_lowers 0 lower 0 n;
   Array.blit f.f_uppers 0 upper 0 n;
@@ -143,18 +166,67 @@ let to_problem t =
   for j = 0 to n - 1 do
     obj.(j) <- sign *. t.objs.(j)
   done;
+  (* Pass 1: count.  A NaN would pass the zero filter unseen, so every
+     coefficient must be finite. *)
+  let start = Array.make (n + 1) 0 in
+  Array.iteri
+    (fun i row ->
+      List.iter
+        (fun (c, v) ->
+          if not (Float.is_finite c) then non_finite t i c v;
+          if c <> 0. then start.(v + 1) <- start.(v + 1) + 1)
+        row.terms)
+    rows;
+  for v = 0 to n - 1 do
+    start.(v + 1) <- start.(v) + start.(v + 1)
+  done;
+  (* Pass 2: fill, summing a row's duplicates in place. *)
+  let ridx = Array.make start.(n) 0 and rval = Array.make start.(n) 0. in
+  let next = Array.sub start 0 n in
+  Array.iteri
+    (fun i row ->
+      let rec add = function
+        | [] -> ()
+        | (c, v) :: rest ->
+            add rest;
+            if c <> 0. then begin
+              let p = next.(v) in
+              if p > start.(v) && ridx.(p - 1) = i then
+                rval.(p - 1) <- rval.(p - 1) +. c
+              else begin
+                ridx.(p) <- i;
+                rval.(p) <- c;
+                next.(v) <- p + 1
+              end
+            end
+      in
+      add row.terms)
+    rows;
+  let cols = Array.make (n + m) Sparse_vec.empty in
+  for v = 0 to n - 1 do
+    let keep = ref 0 in
+    for p = start.(v) to next.(v) - 1 do
+      if Float.abs rval.(p) > Sparse_vec.drop_tol then incr keep
+    done;
+    let idx = Array.make !keep 0 and value = Array.make !keep 0. in
+    let q = ref 0 in
+    for p = start.(v) to next.(v) - 1 do
+      if Float.abs rval.(p) > Sparse_vec.drop_tol then begin
+        idx.(!q) <- ridx.(p);
+        value.(!q) <- rval.(p);
+        incr q
+      end
+    done;
+    cols.(v) <- Sparse_vec.of_arrays idx value
+  done;
   (* One slack column per row: A x + s = rhs. *)
-  let col_entries = Array.make (n + m) [] in
   let rhs = Array.make m 0. in
   let hint = Array.make m (-1) in
   Array.iteri
     (fun i row ->
-      List.iter
-        (fun (c, v) -> col_entries.(v) <- (i, c) :: col_entries.(v))
-        row.terms;
       rhs.(i) <- row.rhs;
       let s = n + i in
-      col_entries.(s) <- [ (i, 1.) ];
+      cols.(s) <- Sparse_vec.of_arrays [| i |] [| 1. |];
       hint.(i) <- s;
       match row.sense with
       | Le ->
@@ -170,13 +242,23 @@ let to_problem t =
   {
     Problem.nrows = m;
     ncols = n + m;
-    cols = Array.map Sparse_vec.of_assoc col_entries;
+    cols;
     obj;
     lower;
     upper;
     rhs;
     basis_hint = Some hint;
   }
+
+(* The model's lowering: [problem] when given (the model's own lowering
+   with patched rhs or bounds), else a fresh one. *)
+let lowered ?problem t =
+  match problem with
+  | None -> to_problem t
+  | Some p ->
+      if p.Problem.nrows <> t.nrows || p.Problem.ncols <> t.nvars + t.nrows
+      then invalid_arg "Model: lowered problem does not match the model";
+      p
 
 let basis_shape b = (b.b_nvars, b.b_nrows)
 
@@ -198,21 +280,26 @@ let objective_of t values =
 
 (* Revised solve, also returning the lowered problem and the raw solver
    result so {!solve_certified} can re-check them. *)
-let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
-  let prob = to_problem t in
+let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start ?problem t =
+  let prob = lowered ?problem t in
   (* A warm basis is only meaningful for a model of identical shape; the
      shared {!basis_compatible} predicate decides. *)
-  let basis =
+  let basis, cell =
     match warm_start with
-    | Some w when basis_compatible t w -> Some w.rb
-    | Some _ | None -> None
+    | Some w when basis_compatible t w -> (Some w.rb, Some w.cell)
+    | Some _ | None -> (None, None)
   in
-  let res = Revised.solve ?max_iterations ?deadline ?bland_after ?basis prob in
+  let res, cell =
+    Revised.solve_factored ?max_iterations ?deadline ?bland_after ?basis ?cell
+      prob
+  in
   (* Internal duals are for the minimized objective; convert to the
      model's direction. *)
   let sign = match t.dir with Minimize -> 1. | Maximize -> -1. in
   let row_duals = Array.map (fun y -> sign *. y) res.Revised.duals in
-  let basis = { b_nvars = t.nvars; b_nrows = t.nrows; rb = res.Revised.basis } in
+  let basis =
+    { b_nvars = t.nvars; b_nrows = t.nrows; rb = res.Revised.basis; cell }
+  in
   let status = res.Revised.status in
   (* Values are only meaningful at an optimum; zero them otherwise so no
      caller can accidentally consume a half-converged iterate. *)
@@ -237,14 +324,15 @@ let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t =
    away: finite lower bounds by shifting, finite upper bounds by extra rows,
    free variables by splitting into a difference of non-negatives. *)
 
-let solve_dense ?max_pivots t =
+let solve_dense ?max_pivots t prob =
   (* The revised path validates inside [Revised.solve]; the dense lowering
      bypasses it, so validate the lowered form here for the same guarantee
-     (descriptive rejection of NaN/inf data instead of a garbage tableau). *)
-  Problem.validate (to_problem t);
+     (descriptive rejection of NaN/inf data instead of a garbage tableau).
+     Bounds and right-hand sides come from [prob], which may patch the
+     model's. *)
+  Problem.validate prob;
   let n = t.nvars in
-  let fz = finalize t in
-  let lower = fz.f_lowers and upper = fz.f_uppers in
+  let lower = prob.Problem.lower and upper = prob.Problem.upper in
   (* Variable v maps to column pos.(v); free variables additionally own a
      negative part at column neg.(v). *)
   let pos = Array.make n (-1) and neg = Array.make n (-1) in
@@ -278,9 +366,9 @@ let solve_dense ?max_pivots t =
     (row, !c)
   in
   let rows = ref [] in
-  List.iter
-    (fun r ->
-      let row, rhs = lower_row r.terms r.rhs in
+  List.iteri
+    (fun i r ->
+      let row, rhs = lower_row r.terms prob.Problem.rhs.(i) in
       let sense =
         match r.sense with
         | Le -> Dense_simplex.Le
@@ -334,8 +422,11 @@ let solve ?max_iterations ?deadline ?bland_after ?warm_start t =
 
 (* ---- certified solves ---- *)
 
-let solve_certified ?max_iterations ?deadline ?bland_after ?warm_start t =
-  let prob, res, sol = solve_raw ?max_iterations ?deadline ?bland_after ?warm_start t in
+let solve_certified ?max_iterations ?deadline ?bland_after ?warm_start
+    ?problem t =
+  let prob, res, sol =
+    solve_raw ?max_iterations ?deadline ?bland_after ?warm_start ?problem t
+  in
   let certify_t0 =
     if Obs.Trace.active () then Obs.Trace.now () else 0.
   in
@@ -368,12 +459,12 @@ let solve_certified ?max_iterations ?deadline ?bland_after ?warm_start t =
   end;
   (sol, report)
 
-let solve_dense_certified ?max_pivots t =
-  let sol = solve_dense ?max_pivots t in
+let solve_dense_certified ?max_pivots ?problem t =
+  let prob = lowered ?problem t in
+  let sol = solve_dense ?max_pivots t prob in
   let report =
     match sol.status with
     | Optimal ->
-        let prob = to_problem t in
         (* The dense lowering discards duals, so only primal feasibility is
            independently checkable.  Reconstruct the slack block: row [i]'s
            slack is its residual [rhs_i - (A x)_i]. *)
@@ -386,7 +477,7 @@ let solve_dense_certified ?max_pivots t =
                 (fun acc (c, v) -> acc +. (c *. sol.values.(v)))
                 0. r.terms
             in
-            full.(t.nvars + i) <- r.rhs -. act)
+            full.(t.nvars + i) <- prob.Problem.rhs.(i) -. act)
           (List.rev t.rows);
         Certify.certify_feasible prob ~x:full
     | Infeasible -> Certify.reject "dense solver reported infeasible (no certificate)"

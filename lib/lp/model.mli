@@ -31,7 +31,13 @@ type basis
     be passed to a later {!solve} of a model with the same variable and
     constraint counts (the same model re-solved, or a freshly built model of
     identical shape) to start the simplex from that basis instead of from
-    scratch.  Incompatible tokens are silently ignored. *)
+    scratch.  Incompatible tokens are silently ignored.
+
+    A token also carries the LU factors of its basis once a solve has
+    computed them (or handed them on from a 0-pivot solve): a later warm
+    start whose basis columns are bit for bit the same reuses them
+    instead of factoring again, with an identical result.  The factors
+    are immutable, so tokens may be shared between domains. *)
 
 val basis_shape : basis -> int * int
 (** The variable and constraint counts of the model the token came from —
@@ -98,7 +104,11 @@ val to_problem : t -> Problem.t
     column [v], and constraint [i] (insertion order) owns slack column
     [n_vars + i].  This is exactly the problem {!solve} hands to the
     revised solver, so external checkers ({!Certify}) can re-verify a
-    solution against it. *)
+    solution against it.  Duplicate terms of a row are summed and
+    entries of magnitude at most {!Sparse_vec.drop_tol} dropped, exactly
+    as {!Sparse_vec.of_assoc} does.
+    @raise Invalid_argument naming the row and the variable when a
+    coefficient is not finite. *)
 
 val solve :
   ?max_iterations:int ->
@@ -120,6 +130,7 @@ val solve_certified :
   ?deadline:float ->
   ?bland_after:int ->
   ?warm_start:basis ->
+  ?problem:Problem.t ->
   t ->
   solution * Certify.report
 (** Solve with the revised simplex and independently re-check
@@ -128,14 +139,25 @@ val solve_certified :
     infeasible claim for a valid Farkas certificate, an unbounded claim for
     a valid improving ray.  [Iteration_limit] results are always rejected
     (nothing to certify).  The report says whether the solution deserves
-    trust; the solution itself is the same one {!solve} would return. *)
+    trust; the solution itself is the same one {!solve} would return.
 
-val solve_dense_certified : ?max_pivots:int -> t -> solution * Certify.report
+    [problem] replaces the model's lowering: it must be {!to_problem} of
+    this model with at most its right-hand sides and column bounds
+    changed (a parametric re-solve that patches a budget row or pins a
+    variable without rebuilding the model).  The solve and the
+    certification both use it.
+    @raise Invalid_argument when its dimensions do not match the model. *)
+
+val solve_dense_certified :
+  ?max_pivots:int -> ?problem:Problem.t -> t -> solution * Certify.report
 (** Solve with the dense reference tableau and certify what it can claim:
     the dense lowering carries no duals, so an [Optimal] result is checked
     for primal feasibility only (bounds and constraint residuals of the
     reconstructed full solution).  Non-optimal dense statuses are rejected
-    as uncertified.  [max_pivots] caps total pivots (tests). *)
+    as uncertified.  [max_pivots] caps total pivots (tests).  [problem]
+    is as for {!solve_certified}: the dense lowering then takes its
+    right-hand sides and variable bounds from it, so both stages of a
+    fallback chain solve the same patched LP. *)
 
 val value : solution -> var -> float
 (** Value of a variable in a solution (0. unless [status = Optimal]). *)

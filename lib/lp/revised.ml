@@ -44,6 +44,36 @@ type result = {
   ray : float array option;
 }
 
+(* A basis's columns, slot by slot, with their LU factors.  [Lu.t] is
+   immutable, so one factor can serve solves on several domains. *)
+type factor = { f_cols : Sparse_vec.t array; f_lu : Lu.t }
+
+type factor_cell = factor option Atomic.t
+
+let same_bits (a : float) (b : float) =
+  Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+(* Exact content equality of two columns: same indices, same bits. *)
+let same_col (a : Sparse_vec.t) (b : Sparse_vec.t) =
+  a == b
+  ||
+  let n = Array.length a.idx in
+  n = Array.length b.idx
+  &&
+  let rec go p =
+    p >= n
+    || a.idx.(p) = b.idx.(p)
+       && same_bits a.value.(p) b.value.(p)
+       && go (p + 1)
+  in
+  go 0
+
+let same_cols a b =
+  Array.length a = Array.length b
+  &&
+  let rec go s = s >= Array.length a || (same_col a.(s) b.(s) && go (s + 1)) in
+  go 0
+
 (* Eta update for the product-form basis inverse.  [rows]/[vals] are the
    entries of the pivot (FTRAN) column w excluding the pivot slot. *)
 type eta = { slot : int; wp : float; rows : int array; vals : float array }
@@ -93,6 +123,7 @@ type state = {
   y_cache : float array;  (* duals for the pricing objective *)
   mutable y_epoch : int;
   cand : int array;  (* candidate list, length [cand_cap] *)
+  cand_score : float array;  (* refill work array: the scores of [cand] *)
   mutable n_cand : int;
   mutable since_refill : int;  (* pivots taken from the current list *)
   (* -- counters / controls --
@@ -241,6 +272,32 @@ let push_eta st e =
   st.n_etas <- k + 1;
   st.eta_nnz <- st.eta_nnz + Array.length e.rows
 
+(* The basic values implied by the nonbasic point, [B x_B = rhs - N x_N],
+   solved in the state's own work vectors. *)
+let recompute_basics st =
+  let fin = st.fin in
+  let r = fin.values and rhs = st.prob.Problem.rhs in
+  for i = 0 to st.m - 1 do
+    if rhs.(i) <> 0. then begin
+      Lu.push fin i;
+      r.(i) <- rhs.(i)
+    end
+  done;
+  for j = 0 to st.ntot - 1 do
+    if st.where.(j) < 0 && st.xval.(j) <> 0. then begin
+      let a = -.st.xval.(j) and col = st.cols.(j) in
+      for p = 0 to Array.length col.idx - 1 do
+        let i = col.idx.(p) in
+        Lu.push fin i;
+        r.(i) <- r.(i) +. (a *. col.value.(p))
+      done
+    end
+  done;
+  Lu.clear st.w;
+  ignore (Lu.ftran st.lu st.lu_work fin st.w);
+  Array.iteri (fun slot j -> st.xval.(j) <- st.w.values.(slot)) st.basis;
+  Lu.clear st.w
+
 let refactorize st =
   let basis_cols = Array.map (fun j -> st.cols.(j)) st.basis in
   st.lu <- Lu.factor ~dim:st.m basis_cols;
@@ -254,13 +311,7 @@ let refactorize st =
      reduced costs are recomputed from scratch on the next pricing call. *)
   st.epoch <- st.epoch + 1;
   (* Recompute the basic values from scratch to purge accumulated drift. *)
-  let r = Array.copy st.prob.Problem.rhs in
-  for j = 0 to st.ntot - 1 do
-    if st.where.(j) < 0 && st.xval.(j) <> 0. then
-      Sparse_vec.axpy_dense (-.st.xval.(j)) st.cols.(j) r
-  done;
-  let xb = Lu.solve st.lu r in
-  Array.iteri (fun slot j -> st.xval.(j) <- xb.(slot)) st.basis
+  recompute_basics st
 
 (* ---- pricing ---- *)
 
@@ -362,7 +413,7 @@ let price st c =
       st.since_refill <- 0;
       best := None;
       best_score := 0.;
-      let scores = Array.make cand_cap 0. in
+      let scores = st.cand_score in
       let worst = ref 0 in
       for j = 0 to st.ntot - 1 do
         if priceable st j then begin
@@ -690,9 +741,8 @@ let optimize st c ~phase1 ~max_iterations =
 exception Warm_start_failed
 
 let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
-    ~deadline_at prob basis where xval at_upper lower upper cols ntot =
+    ~deadline_at prob lu basis where xval at_upper lower upper cols ntot =
   let m = prob.Problem.nrows in
-  let lu = Lu.factor ~dim:m (Array.map (fun j -> cols.(j)) basis) in
   {
     prob;
     m;
@@ -726,6 +776,7 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
     y_cache = Array.make m 0.;
     y_epoch = -1;
     cand = Array.make cand_cap (-1);
+    cand_score = Array.make cand_cap 0.;
     n_cand = 0;
     since_refill = 0;
     iterations = 0;
@@ -752,9 +803,9 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
     bland_after;
   }
 
-let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
+let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     ?(opt_tol = 1e-7) ?(refactor_interval = 128) ?(bland_after = 2000)
-    ?basis:warm prob =
+    ?basis:warm ?cell prob =
   Problem.validate prob;
   let deadline_at =
     match deadline with
@@ -763,6 +814,15 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
   in
   let m = prob.Problem.nrows and n = prob.Problem.ncols in
   let ntot = n + m in
+  let factor_reused = ref false in
+  (* The factor handed on with the final basis: the state's own LU
+     whenever no eta sits on top of it (a 0-pivot solve, or a
+     refactorization as the last step). *)
+  let final_factor st =
+    if st.n_etas > 0 then None
+    else
+      Some { f_cols = Array.map (fun j -> st.cols.(j)) st.basis; f_lu = st.lu }
+  in
   let finish ?farkas st status =
     let x = Array.sub st.xval 0 n in
     let objective = Problem.objective_value prob x in
@@ -781,30 +841,31 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
       | Unbounded -> Option.map (fun r -> Array.sub r 0 n) st.last_ray
       | _ -> None
     in
-    {
-      status;
-      x;
-      objective;
-      duals;
-      basis;
-      stats =
-        {
-          iterations = st.iterations;
-          phase1_iterations = st.phase1_iterations;
-          refactorizations = st.refactorizations;
-          drift_refactorizations = st.drift_refactorizations;
-          growth_refactorizations = st.growth_refactorizations;
-          degenerate_pivots = st.degenerate_pivots;
-          bound_flips = st.bound_flips;
-          ftran_steps = st.ftran_steps;
-          ftran_etas = st.ftran_etas;
-          btran_steps = st.btran_steps;
-          btran_etas = st.btran_etas;
-          lu_nnz = st.lu_nnz;
-        };
-      farkas = (if status = Infeasible then farkas else None);
-      ray;
-    }
+    ( {
+        status;
+        x;
+        objective;
+        duals;
+        basis;
+        stats =
+          {
+            iterations = st.iterations;
+            phase1_iterations = st.phase1_iterations;
+            refactorizations = st.refactorizations;
+            drift_refactorizations = st.drift_refactorizations;
+            growth_refactorizations = st.growth_refactorizations;
+            degenerate_pivots = st.degenerate_pivots;
+            bound_flips = st.bound_flips;
+            ftran_steps = st.ftran_steps;
+            ftran_etas = st.ftran_etas;
+            btran_steps = st.btran_steps;
+            btran_etas = st.btran_etas;
+            lu_nnz = st.lu_nnz;
+          };
+        farkas = (if status = Infeasible then farkas else None);
+        ray;
+      },
+      final_factor st )
   in
   let phase2 st =
     let c = Array.make ntot 0. in
@@ -819,7 +880,7 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     let cols = Array.make ntot Sparse_vec.empty in
     Array.blit prob.Problem.cols 0 cols 0 n;
     for i = 0 to m - 1 do
-      cols.(n + i) <- Sparse_vec.of_assoc [ (i, 1.) ]
+      cols.(n + i) <- Sparse_vec.of_arrays [| i |] [| 1. |]
     done;
     let lower = Array.make ntot 0. and upper = Array.make ntot 0. in
     Array.blit prob.Problem.lower 0 lower 0 n;
@@ -886,9 +947,10 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
       end
     done;
     Array.iteri (fun slot j -> where.(j) <- slot) basis;
+    let lu = Lu.factor ~dim:m (Array.map (fun j -> cols.(j)) basis) in
     let st =
       make_state ~bland_after ~feas_tol ~opt_tol ~refactor_interval
-        ~deadline_at prob basis where xval at_upper lower upper cols ntot
+        ~deadline_at prob lu basis where xval at_upper lower upper cols ntot
     in
     if not !need_phase1 then phase2 st
     else begin
@@ -959,20 +1021,32 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
         end
         else xval.(j) <- 0.
     done;
-    let st =
-      try
-        make_state ~bland_after ~feas_tol ~opt_tol ~refactor_interval
-          ~deadline_at prob basis where xval at_upper lower upper cols ntot
-      with Lu.Singular _ -> raise Warm_start_failed
+    (* The token's factor is reused when its columns are bit-equal to this
+       basis's; otherwise factor and fill the (still empty) cell.  A race
+       between domains costs at most a duplicate factorization. *)
+    let bcols = Array.map (fun j -> cols.(j)) basis in
+    let lu =
+      match Option.bind cell Atomic.get with
+      | Some f when same_cols f.f_cols bcols ->
+          factor_reused := true;
+          f.f_lu
+      | _ -> (
+          match Lu.factor ~dim:m bcols with
+          | lu ->
+              Option.iter
+                (fun c ->
+                  ignore
+                    (Atomic.compare_and_set c None
+                       (Some { f_cols = bcols; f_lu = lu })))
+                cell;
+              lu
+          | exception Lu.Singular _ -> raise Warm_start_failed)
     in
-    (* Basic values implied by the nonbasic point. *)
-    let r = Array.copy prob.Problem.rhs in
-    for j = 0 to ntot - 1 do
-      if st.where.(j) < 0 && st.xval.(j) <> 0. then
-        Sparse_vec.axpy_dense (-.st.xval.(j)) st.cols.(j) r
-    done;
-    let xb = Lu.solve st.lu r in
-    Array.iteri (fun slot j -> st.xval.(j) <- xb.(slot)) st.basis;
+    let st =
+      make_state ~bland_after ~feas_tol ~opt_tol ~refactor_interval
+        ~deadline_at prob lu basis where xval at_upper lower upper cols ntot
+    in
+    recompute_basics st;
     (* Collect bound violations of the warm basics. *)
     let relaxed = ref [] in
     let c1 = Array.make ntot 0. in
@@ -1028,13 +1102,16 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     match warm with
     | Some wb when warm_usable wb -> (
         try (solve_warm wb, true)
-        with Warm_start_failed -> (solve_cold (), false))
+        with Warm_start_failed ->
+          factor_reused := false;
+          (solve_cold (), false))
     | _ -> (solve_cold (), false)
   in
-  if not (Obs.Trace.active ()) then fst (dispatch ())
+  let finished (res, factor) = (res, Atomic.make factor) in
+  if not (Obs.Trace.active ()) then finished (fst (dispatch ()))
   else begin
     let t0 = Obs.Trace.now () in
-    let res, warm_used = dispatch () in
+    let (res, _) as out, warm_used = dispatch () in
     let dur = Obs.Trace.now () -. t0 in
     Obs.Trace.emit Obs.Trace.Solve ~name:"lp.revised" ~start_s:t0
       ~dur_s:dur
@@ -1057,6 +1134,13 @@ let solve ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
         ("btran_etas", Obs.Trace.Int res.stats.btran_etas);
         ("lu_nnz", Obs.Trace.Int res.stats.lu_nnz);
         ("warm", Obs.Trace.Bool warm_used);
+        ("factor_reused", Obs.Trace.Bool !factor_reused);
       ];
-    res
+    finished out
   end
+
+let solve ?max_iterations ?deadline ?feas_tol ?opt_tol ?refactor_interval
+    ?bland_after ?basis prob =
+  fst
+    (solve_factored ?max_iterations ?deadline ?feas_tol ?opt_tol
+       ?refactor_interval ?bland_after ?basis prob)

@@ -94,3 +94,32 @@ val solve :
     from a previous solve; it is ignored (cold start) when structurally
     incompatible, and abandoned transparently when singular or
     unrepairable. *)
+
+(** {1 Reusing a basis factorization} *)
+
+type factor_cell
+(** A once-filled cell for the LU factors of one basis, with the basis
+    columns they were computed from.  The factors are immutable, so a
+    cell may be shared between solves on several domains. *)
+
+val solve_factored :
+  ?max_iterations:int ->
+  ?deadline:float ->
+  ?feas_tol:float ->
+  ?opt_tol:float ->
+  ?refactor_interval:int ->
+  ?bland_after:int ->
+  ?basis:basis ->
+  ?cell:factor_cell ->
+  Problem.t ->
+  result * factor_cell
+(** {!solve}, with [cell] the factor cell that travels with [basis].  A
+    warm start whose basis columns are bit for bit the ones the cell was
+    filled from reuses its factors instead of factoring; otherwise it
+    factors and fills the cell if it is still empty.  Either way the
+    solve performs the same operations and returns the same result as
+    {!solve}.  The returned cell belongs to the result's basis: it is
+    filled when the final factors carry no update (a 0-pivot solve, or a
+    refactorization as the last step), and empty otherwise.  The
+    [lp.revised] trace span's [factor_reused] attribute says whether the
+    cell's factors were used. *)

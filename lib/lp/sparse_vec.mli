@@ -11,6 +11,9 @@ type t = private {
 
 val empty : t
 
+val drop_tol : float
+(** [1e-12]: construction drops entries of this magnitude or less. *)
+
 val nnz : t -> int
 (** Number of stored entries. *)
 

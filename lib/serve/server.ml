@@ -23,9 +23,9 @@ type network = {
   mutable window : Sampling.Sample_set.t;
   mutable version : int;
   topo_hash : int64;
-  (* the window re-ranked for each queried k, built lazily on the
-     coordinator and cleared on window updates *)
-  by_k : (int, Sampling.Sample_set.t) Hashtbl.t;
+  (* the LP+LF instance of the window re-ranked for each queried k, built
+     lazily on the coordinator and cleared on window updates *)
+  insts : (int, Prospector.Lp_lf.instance) Hashtbl.t;
 }
 
 type query = {
@@ -128,10 +128,9 @@ let register t topo cost samples =
       window = samples;
       version = 0;
       topo_hash = Fingerprint.hash_parents ~root:topo.root topo.parent;
-      by_k = Hashtbl.create 4;
+      insts = Hashtbl.create 4;
     }
   in
-  Hashtbl.replace net.by_k samples.Sampling.Sample_set.k samples;
   Hashtbl.replace t.networks id net;
   id
 
@@ -143,18 +142,20 @@ let update_window t ~network samples =
         invalid_arg "Server.update_window: sample window disagrees on n";
       net.window <- samples;
       net.version <- net.version + 1;
-      Hashtbl.reset net.by_k;
-      Hashtbl.replace net.by_k samples.Sampling.Sample_set.k samples
+      Hashtbl.reset net.insts
 
-let samples_for_k net ~k =
-  match Hashtbl.find_opt net.by_k k with
-  | Some s -> s
+let instance_for_k net ~k =
+  match Hashtbl.find_opt net.insts k with
+  | Some inst -> inst
   | None ->
-      let s =
-        Sampling.Sample_set.of_values ~k net.window.Sampling.Sample_set.values
+      let w = net.window in
+      let samples =
+        if k = w.Sampling.Sample_set.k then w
+        else Sampling.Sample_set.of_values ~k w.Sampling.Sample_set.values
       in
-      Hashtbl.replace net.by_k k s;
-      s
+      let inst = Prospector.Lp_lf.instance net.topo net.cost samples ~k in
+      Hashtbl.replace net.insts k inst;
+      inst
 
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
@@ -162,8 +163,7 @@ let samples_for_k net ~k =
 type task = {
   fp : Fingerprint.t;
   t_query : query;
-  t_net : network;
-  t_samples : Sampling.Sample_set.t;
+  t_inst : Prospector.Lp_lf.instance;
   t_source : source;  (* Range_hit | Pool_warm | Cold *)
   warm : Lp.Model.basis option;
   (* the warm token is the query's own family basis: a certified 0-pivot
@@ -205,12 +205,12 @@ let admit t queries =
         match validate t q with
         | Error reason -> D_refuse reason
         | Ok net -> (
-            let samples = samples_for_k net ~k:q.k in
+            (* re-ranking per k keeps the window's sample count *)
             let fp =
               Fingerprint.make ~network:q.network ~window:net.version ~k:q.k
                 ~budget:q.budget ~guarantee:q.guarantee
                 ~topo_hash:net.topo_hash
-                ~samples:(Sampling.Sample_set.n_samples samples)
+                ~samples:(Sampling.Sample_set.n_samples net.window)
             in
             let key = Fingerprint.exact_key fp in
             match Hashtbl.find_opt leaders key with
@@ -262,7 +262,7 @@ let admit t queries =
                     ntasks := i + 1;
                     Hashtbl.replace leaders key i;
                     tasks :=
-                      { fp; t_query = q; t_net = net; t_samples = samples;
+                      { fp; t_query = q; t_inst = instance_for_k net ~k:q.k;
                         t_source; warm; t_family_warm }
                       :: !tasks;
                     D_task i)))
@@ -287,11 +287,10 @@ let run_tasks t tasks =
     let r =
       try
         Ok
-          (Prospector.Lp_lf.plan ?warm_start:task.warm
+          (Prospector.Lp_lf.solve ?warm_start:task.warm
              ?max_lp_iterations:t.config.max_lp_iterations
              ?lp_deadline:t.config.lp_deadline ?guarantee:task.t_query.guarantee
-             task.t_net.topo task.t_net.cost task.t_samples
-             ~budget:task.t_query.budget ~k:task.t_query.k)
+             task.t_inst ~budget:task.t_query.budget)
       with e -> Error (Printexc.to_string e)
     in
     let dt = Obs.Trace.now () -. t0 in

@@ -20,10 +20,15 @@
 
     {b Determinism}: all admission, cache, pool and coalescing decisions
     happen on the coordinating domain between fan-out barriers, and every
-    solve is a pure function of coordinator-chosen inputs (model + warm
-    basis).  Worker domains only decide {e when} work runs, never {e what}
-    it computes, so identical query streams produce bit-identical
-    responses and hit/miss traces whatever [domains] is.  Tasks are
+    solve is a pure function of coordinator-chosen inputs (instance,
+    budget, warm basis; which domain first fills a token's factor cell is
+    timing, but a reused factor is bit for bit a fresh one).  The LP+LF instance of each (network, window version, [k]) is
+    built and lowered once, on the coordinator, when a query first needs
+    it; every solve for that key re-solves it at its own budget
+    ({!Prospector.Lp_lf.solve}), and warm tokens carry their basis
+    factors between solves.  Worker domains only decide {e when} work
+    runs, never {e what} it computes, so identical query streams produce
+    bit-identical responses and hit/miss traces whatever [domains] is.  Tasks are
     claimed from a fixed-order queue through one atomic cursor — a
     deterministic work-stealing order: the claim sequence is the admission
     order even though the claimant identities are timing-dependent.
@@ -58,13 +63,15 @@ val register :
 (** Register a tenant network and its sample window; returns the network
     id queries name.  The window's raw values are re-ranked per queried
     [k], so tenants may ask any [1 <= k <= n] regardless of the [k] the
-    window was drawn at. *)
+    window was drawn at; each re-ranking gets its own LP+LF instance. *)
 
 val update_window : t -> network:int -> Sampling.Sample_set.t -> unit
 (** Install a fresh sample window and bump the network's window version:
     cached plans for older windows age out of the LRU naturally (their
     fingerprints can no longer be formed), while pooled bases of the same
-    shape remain available as warm-start hints. *)
+    shape remain available as warm-start hints.  The network's LP+LF
+    instances are dropped; the next query per [k] builds the new
+    window's. *)
 
 type query = {
   network : int;

@@ -672,6 +672,9 @@ let test_budget_checks () =
         fun budget -> ignore (Prospector.Greedy.fallback topo cost ~colsum ~budget) );
       ( "Lp_lf.plan",
         fun budget -> ignore (Prospector.Lp_lf.plan topo cost samples ~budget ~k:10) );
+      ( "Lp_lf.solve",
+        let inst = Prospector.Lp_lf.instance topo cost samples ~k:10 in
+        fun budget -> ignore (Prospector.Lp_lf.solve inst ~budget) );
       ( "Ship_lp.plan_by_colsum",
         fun budget -> ignore (Prospector.Ship_lp.plan_by_colsum topo cost ~colsum ~budget) );
     ]

@@ -343,9 +343,89 @@ let lu_transpose_consistency =
       in
       Float.abs (dot c x -. dot y b) <= 1e-6 *. (1. +. Float.abs (dot c x)))
 
+(* A NaN coefficient must not vanish in the lowering's zero filter (the
+   model would solve as if the term were absent and certify that);
+   every non-finite coefficient is refused, naming its row and variable. *)
+let test_model_refuses_non_finite () =
+  List.iter
+    (fun (c, shown) ->
+      let m = Lp.Model.create ~direction:Lp.Model.Maximize () in
+      let x = Lp.Model.add_var m ~obj:1. "x" in
+      let y = Lp.Model.add_var m ~obj:1. ~upper:1. "y" in
+      Lp.Model.add_le m [ (1., x); (1., y) ] 10.;
+      Lp.Model.add_le m [ (1., x); (c, y) ] 4.;
+      let expected =
+        Printf.sprintf
+          "Model.to_problem: row 1 has non-finite coefficient %s for \
+           variable 1 (y)"
+          shown
+      in
+      Alcotest.check_raises ("solve with " ^ shown) (Invalid_argument expected)
+        (fun () -> ignore (Lp.Model.solve_certified m));
+      Alcotest.check_raises ("dense with " ^ shown) (Invalid_argument expected)
+        (fun () -> ignore (Lp.Model.solve_dense_certified m)))
+    [ (Float.nan, "nan"); (infinity, "inf"); (neg_infinity, "-inf") ]
+
+(* The two-pass lowering builds each column exactly as [Sparse_vec.of_assoc]
+   would from the column's terms in insertion order: duplicates (summed
+   in that function's order), zeros, entries at the drop tolerance and
+   cancelling pairs included. *)
+let lowering_matches_of_assoc =
+  QCheck.Test.make ~name:"lowered columns equal the of_assoc reference"
+    ~count:300
+    (QCheck.make ~print:string_of_int QCheck.Gen.(0 -- 100_000))
+    (fun seed ->
+      let rand = Random.State.make [| seed + 77 |] in
+      let nv = 1 + Random.State.int rand 12 in
+      let nr = 1 + Random.State.int rand 10 in
+      let m = Lp.Model.create () in
+      let vars =
+        Array.init nv (fun j -> Lp.Model.add_var m (Printf.sprintf "v%d" j))
+      in
+      let coef () =
+        match Random.State.int rand 8 with
+        | 0 -> 0.
+        | 1 -> 1e-13
+        | 2 -> 0.1
+        | 3 -> -0.1
+        | _ -> Random.State.float rand 4. -. 2.
+      in
+      let rows =
+        Array.init nr (fun _ ->
+            List.init (Random.State.int rand 8) (fun _ ->
+                (coef (), Random.State.int rand nv)))
+      in
+      Array.iter
+        (fun terms ->
+          let rhs = Random.State.float rand 10. in
+          Lp.Model.add_le m (List.map (fun (c, v) -> (c, vars.(v))) terms) rhs)
+        rows;
+      let p = Lp.Model.to_problem m in
+      let entries = Array.make nv [] in
+      Array.iteri
+        (fun i terms ->
+          List.iter (fun (c, v) -> entries.(v) <- (i, c) :: entries.(v)) terms)
+        rows;
+      let same (a : Lp.Sparse_vec.t) (b : Lp.Sparse_vec.t) =
+        a.idx = b.idx
+        && Array.length a.value = Array.length b.value
+        && Array.for_all2
+             (fun x y ->
+               Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+             a.value b.value
+      in
+      Array.for_all Fun.id
+        (Array.init nv (fun v ->
+             same p.Lp.Problem.cols.(v) (Lp.Sparse_vec.of_assoc entries.(v))))
+      && Array.for_all Fun.id
+           (Array.init nr (fun i ->
+                same p.Lp.Problem.cols.(nv + i)
+                  (Lp.Sparse_vec.of_assoc [ (i, 1.) ]))))
+
 let qcheck_cases =
   List.map QCheck_alcotest.to_alcotest
-    [ bigger_random_agreement; equality_rows_agreement; lu_transpose_consistency ]
+    [ bigger_random_agreement; equality_rows_agreement; lu_transpose_consistency;
+      lowering_matches_of_assoc ]
 
 let () =
   Alcotest.run ~and_exit:false "lp_extra"
@@ -375,6 +455,8 @@ let () =
           Alcotest.test_case "set_obj" `Quick test_model_set_obj;
           Alcotest.test_case "foreign variable rejected" `Quick
             test_model_rejects_foreign_var;
+          Alcotest.test_case "non-finite coefficient refused" `Quick
+            test_model_refuses_non_finite;
         ] );
       ( "lu_extra",
         [
