@@ -16,13 +16,16 @@ test:
 # reach-vs-sweep and warm-vs-cold differential checks, planner-level
 # solver-failure injection against the certified fallback chain, and
 # LP+LF instance re-solves (patched budget and alive bounds, reused basis
-# factors) against freshly built models.
+# factors) against freshly built models, and warm re-solves (dual simplex
+# or phase 1) against cold ones over random rhs, bound, budget and mask
+# changes.
 stress:
 	dune exec test/lp/test_lp_adversarial.exe
 	dune exec test/lp/test_lp_differential.exe
 	dune exec test/lp/test_lp_kernel.exe
 	dune exec test/core/test_robust.exe
 	dune exec test/core/test_lp_lf_instance.exe
+	dune exec test/core/test_warm_dual.exe
 
 # The repo benchmark (BENCHMARK.json): four end-to-end workloads with
 # per-layer metrics; see bench/e2e/README.md for its options.

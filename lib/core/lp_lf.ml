@@ -128,7 +128,9 @@ let lp_model ?alive topo cost samples ~budget ~k =
 
 (* The budget enters the LP as one right-hand side and a dead node as one
    upper bound, so an instance is built and lowered once and every solve
-   patches copies of those two arrays; the matrix is shared. *)
+   patches copies of those two arrays; the matrix is shared.  The
+   guarantee ladder plans on the first half of the window: [half] keeps
+   that half's instance once a guarantee solve has built it. *)
 type instance = {
   topo : Sensor.Topology.t;
   cost : Sensor.Cost.t;
@@ -139,11 +141,21 @@ type instance = {
   z_cols : int array;
   b_cols : int array;
   budget_row : int;
+  half : instance option Atomic.t;
 }
 
 let make_instance ~who topo cost samples ~k =
+  let t0 = if Obs.Trace.active () then Obs.Trace.now () else 0. in
   let model, z_cols, b_cols = build ~who topo cost samples ~budget:0. ~k in
   let problem = Lp.Model.to_problem model in
+  if Obs.Trace.active () then
+    Obs.Trace.emit Obs.Trace.Plan ~name:"lp_lf.instance" ~start_s:t0
+      ~dur_s:(Obs.Trace.now () -. t0)
+      [
+        ("rows", Obs.Trace.Int problem.Lp.Problem.nrows);
+        ("cols", Obs.Trace.Int problem.Lp.Problem.ncols);
+        ("samples", Obs.Trace.Int (Sampling.Sample_set.n_samples samples));
+      ];
   {
     topo;
     cost;
@@ -154,6 +166,7 @@ let make_instance ~who topo cost samples ~k =
     z_cols;
     b_cols;
     budget_row = problem.Lp.Problem.nrows - 1;
+    half = Atomic.make None;
   }
 
 let instance topo cost samples ~k =
@@ -262,24 +275,40 @@ let solve_lp ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline inst
     guarantee = None;
   }
 
-(* The guarantee ladder: one instance of the plan window, every rung a
-   re-solve of it at the rung's budget, each warm-started from the
-   previous rung's final basis. *)
+(* The LP depends on a window only through its ones. *)
+let same_ones (a : Sampling.Sample_set.t) (b : Sampling.Sample_set.t) =
+  a == b
+  ||
+  let oa = a.Sampling.Sample_set.ones and ob = b.Sampling.Sample_set.ones in
+  Array.length oa = Array.length ob
+  && Array.for_all2
+       (fun x y -> Array.length x = Array.length y && Array.for_all2 Int.equal x y)
+       oa ob
+
+(* The instance of the ladder's plan window [samples] for a guarantee
+   solve of [inst]: [inst] itself when the window is not split, else the
+   half-window instance kept in [inst.half], built by the first guarantee
+   solve that needs it. *)
+let window_instance ~who inst samples =
+  if samples == inst.samples then inst
+  else
+    match Atomic.get inst.half with
+    | Some h when same_ones h.samples samples -> h
+    | Some _ | None ->
+        let h = make_instance ~who inst.topo inst.cost samples ~k:inst.k in
+        ignore (Atomic.compare_and_set inst.half None (Some h));
+        h
+
+(* The guarantee ladder: one instance of the plan window
+   ([instance_of]), every rung a re-solve of it at the rung's budget, each
+   warm-started from the previous rung's final basis. *)
 let ladder ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline ~eps ~delta
-    topo cost samples ~budget ~k =
+    ~instance_of topo cost samples ~budget ~k =
   let warm = ref warm_start in
-  let window = ref None in
   let g =
     Robust_plan.plan_with_guarantee ~eps ~delta
       ~planner:(fun ~samples ~budget ->
-        let inst =
-          match !window with
-          | Some (s, inst) when s == samples -> inst
-          | _ ->
-              let inst = make_instance ~who topo cost samples ~k in
-              window := Some (samples, inst);
-              inst
-        in
+        let inst = instance_of samples in
         let r =
           solve_lp ~who ?alive ?warm_start:!warm ?max_lp_iterations
             ?lp_deadline inst ~budget
@@ -305,7 +334,8 @@ let solve ?alive ?warm_start ?max_lp_iterations ?lp_deadline ?guarantee inst
         ~budget
   | Some (eps, delta) ->
       ladder ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline ~eps
-        ~delta inst.topo inst.cost inst.samples ~budget ~k:inst.k
+        ~delta ~instance_of:(window_instance ~who inst) inst.topo inst.cost
+        inst.samples ~budget ~k:inst.k
 
 let plan ?alive ?warm_start ?max_lp_iterations ?lp_deadline ?guarantee topo
     cost samples ~budget ~k =
@@ -317,5 +347,15 @@ let plan ?alive ?warm_start ?max_lp_iterations ?lp_deadline ?guarantee topo
         (make_instance ~who topo cost samples ~k)
         ~budget
   | Some (eps, delta) ->
+      (* A fresh ladder builds its window's instance once. *)
+      let window = ref None in
+      let instance_of samples =
+        match !window with
+        | Some (s, inst) when s == samples -> inst
+        | Some _ | None ->
+            let inst = make_instance ~who topo cost samples ~k in
+            window := Some (samples, inst);
+            inst
+      in
       ladder ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline ~eps
-        ~delta topo cost samples ~budget ~k
+        ~delta ~instance_of topo cost samples ~budget ~k

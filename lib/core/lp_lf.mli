@@ -124,8 +124,10 @@ val solve :
     result, bit for bit, with the same options.  Every stage of the
     certified chain, the dense reference included, solves the LP at this
     [budget] and [alive] mask.  With [guarantee], the escalation ladder
-    builds one instance of its planning half-window and re-solves every
-    rung from it. *)
+    re-solves every rung from one instance of its planning half-window;
+    the instance keeps that half-window instance, so every guarantee
+    solve of one instance builds it at most once.  Building an instance
+    emits an [lp_lf.instance] trace span (rows, cols, samples). *)
 
 val lp_model :
   ?alive:bool array ->

@@ -248,6 +248,7 @@ let to_problem t =
     upper;
     rhs;
     basis_hint = Some hint;
+    shared = Problem.fresh_shared ();
   }
 
 (* The model's lowering: [problem] when given (the model's own lowering

@@ -1,3 +1,22 @@
+(* What copies of one problem made with [{ p with rhs; lower; upper }]
+   share: the matrix checks that passed and the solver-side forms of the
+   matrix, each computed once.  An entry applies only to the very arrays
+   it was computed from. *)
+type rows = { row_start : int array; row_col : int array; row_val : float array }
+
+type matrix = {
+  m_cols : Sparse_vec.t array;
+  m_nrows : int;
+  m_hint : int array option;
+  m_strict : bool;
+  m_identity : Sparse_vec.t array;
+  rows : rows option Atomic.t;
+}
+
+type shared = matrix option Atomic.t
+
+let fresh_shared () = Atomic.make None
+
 type t = {
   nrows : int;
   ncols : int;
@@ -7,19 +26,27 @@ type t = {
   upper : float array;
   rhs : float array;
   basis_hint : int array option;
+  shared : shared;
 }
 
-let validate ?(strict = false) t =
-  let check c msg = if not c then invalid_arg ("Problem: " ^ msg) in
-  (* Messages are formatted only on failure: the passing path of the
-     per-column checks costs a few float compares. *)
-  let fail fmt = Printf.ksprintf (fun msg -> invalid_arg ("Problem: " ^ msg)) fmt in
-  check (t.nrows >= 0 && t.ncols >= 0) "negative dimensions";
-  check (Array.length t.cols = t.ncols) "cols length";
-  check (Array.length t.obj = t.ncols) "obj length";
-  check (Array.length t.lower = t.ncols) "lower length";
-  check (Array.length t.upper = t.ncols) "upper length";
-  check (Array.length t.rhs = t.nrows) "rhs length";
+(* The shared entry of [t]'s matrix, if the checks it records cover
+   [strict]. *)
+let cached ~strict t =
+  match Atomic.get t.shared with
+  | Some e
+    when e.m_cols == t.cols && e.m_nrows = t.nrows
+         && Option.equal ( == ) e.m_hint t.basis_hint
+         && (e.m_strict || not strict) ->
+      Some e
+  | Some _ | None -> None
+
+let check c msg = if not c then invalid_arg ("Problem: " ^ msg)
+
+(* Messages are formatted only on failure: the passing path of the
+   per-column checks costs a few float compares. *)
+let fail fmt = Printf.ksprintf (fun msg -> invalid_arg ("Problem: " ^ msg)) fmt
+
+let check_cols ~strict t =
   Array.iteri
     (fun j col ->
       Sparse_vec.iter
@@ -31,21 +58,9 @@ let validate ?(strict = false) t =
         col;
       if strict && Sparse_vec.nnz col = 0 then
         fail "column %d is empty (appears in no constraint)" j)
-    t.cols;
-  for j = 0 to t.ncols - 1 do
-    let lo = t.lower.(j) and hi = t.upper.(j) in
-    if Float.is_nan lo || Float.is_nan hi then fail "NaN bound on column %d" j;
-    if not (lo <= hi) then
-      fail "column %d has lower bound %g > upper bound %g" j lo hi;
-    if not (lo < infinity) then fail "column %d has lower bound +inf" j;
-    if not (hi > neg_infinity) then fail "column %d has upper bound -inf" j;
-    if not (Float.is_finite t.obj.(j)) then
-      fail "column %d has non-finite objective coefficient %g" j t.obj.(j)
-  done;
-  for i = 0 to t.nrows - 1 do
-    if not (Float.is_finite t.rhs.(i)) then
-      fail "row %d has non-finite rhs %g" i t.rhs.(i)
-  done;
+    t.cols
+
+let check_hint t =
   match t.basis_hint with
   | None -> ()
   | Some hint ->
@@ -60,8 +75,93 @@ let validate ?(strict = false) t =
           end)
         hint
 
-let nnz t = Array.fold_left (fun acc c -> acc + Sparse_vec.nnz c) 0 t.cols
+(* The checks run in a fixed order, so a problem with several faults is
+   refused for the first: dimensions and lengths, the columns, bounds and
+   objective, the rhs, the hint.  The columns and the hint are checked
+   once per matrix; bounds, objective and rhs on every call, since copies
+   patch them. *)
+let matrix ?(strict = false) t =
+  check (t.nrows >= 0 && t.ncols >= 0) "negative dimensions";
+  check (Array.length t.cols = t.ncols) "cols length";
+  check (Array.length t.obj = t.ncols) "obj length";
+  check (Array.length t.lower = t.ncols) "lower length";
+  check (Array.length t.upper = t.ncols) "upper length";
+  check (Array.length t.rhs = t.nrows) "rhs length";
+  let hit = cached ~strict t in
+  if Option.is_none hit then check_cols ~strict t;
+  for j = 0 to t.ncols - 1 do
+    let lo = t.lower.(j) and hi = t.upper.(j) in
+    if Float.is_nan lo || Float.is_nan hi then fail "NaN bound on column %d" j;
+    if not (lo <= hi) then
+      fail "column %d has lower bound %g > upper bound %g" j lo hi;
+    if not (lo < infinity) then fail "column %d has lower bound +inf" j;
+    if not (hi > neg_infinity) then fail "column %d has upper bound -inf" j;
+    if not (Float.is_finite t.obj.(j)) then
+      fail "column %d has non-finite objective coefficient %g" j t.obj.(j)
+  done;
+  for i = 0 to t.nrows - 1 do
+    if not (Float.is_finite t.rhs.(i)) then
+      fail "row %d has non-finite rhs %g" i t.rhs.(i)
+  done;
+  match hit with
+  | Some e -> e
+  | None ->
+      check_hint t;
+      let m_identity = Array.make (t.ncols + t.nrows) Sparse_vec.empty in
+      Array.blit t.cols 0 m_identity 0 t.ncols;
+      for i = 0 to t.nrows - 1 do
+        m_identity.(t.ncols + i) <- Sparse_vec.of_arrays [| i |] [| 1. |]
+      done;
+      let e =
+        {
+          m_cols = t.cols;
+          m_nrows = t.nrows;
+          m_hint = t.basis_hint;
+          m_strict = strict;
+          m_identity;
+          rows = Atomic.make None;
+        }
+      in
+      Atomic.set t.shared (Some e);
+      e
 
+let validate ?strict t = ignore (matrix ?strict t)
+
+let with_identity e = e.m_identity
+
+let build_rows e =
+  let m = e.m_nrows in
+  let row_start = Array.make (m + 1) 0 in
+  Array.iter
+    (fun (col : Sparse_vec.t) ->
+      Array.iter (fun i -> row_start.(i + 1) <- row_start.(i + 1) + 1) col.idx)
+    e.m_cols;
+  for i = 0 to m - 1 do
+    row_start.(i + 1) <- row_start.(i) + row_start.(i + 1)
+  done;
+  let nnz = row_start.(m) in
+  let row_col = Array.make nnz 0 and row_val = Array.make nnz 0. in
+  let next = Array.sub row_start 0 m in
+  Array.iteri
+    (fun j (col : Sparse_vec.t) ->
+      for p = 0 to Array.length col.idx - 1 do
+        let i = col.idx.(p) in
+        row_col.(next.(i)) <- j;
+        row_val.(next.(i)) <- col.value.(p);
+        next.(i) <- next.(i) + 1
+      done)
+    e.m_cols;
+  { row_start; row_col; row_val }
+
+let rows e =
+  match Atomic.get e.rows with
+  | Some r -> r
+  | None ->
+      let r = build_rows e in
+      if Atomic.compare_and_set e.rows None (Some r) then r
+      else Option.value (Atomic.get e.rows) ~default:r
+
+let nnz t = Array.fold_left (fun acc c -> acc + Sparse_vec.nnz c) 0 t.cols
 let compatible_basis t vars =
   Array.length vars = t.nrows
   &&

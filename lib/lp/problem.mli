@@ -4,6 +4,17 @@
     where the columns of [A] include any slack columns (the {!Model} builder
     adds one slack per inequality row).  Bounds may be infinite. *)
 
+type shared
+(** What the copies of one problem share: the checks its matrix passed
+    and the solver-side forms of that matrix, computed once.  A copy made
+    with [{ p with rhs; lower; upper }] patches the vectors and keeps the
+    matrix, so it reuses them; an entry is only used for the very [cols]
+    and [basis_hint] arrays it was computed from.  The matrix must not be
+    mutated in place once a problem has been validated. *)
+
+val fresh_shared : unit -> shared
+(** An empty cell, for a problem built with a new matrix. *)
+
 type t = {
   nrows : int;
   ncols : int;
@@ -16,6 +27,7 @@ type t = {
       (** Optional: [hint.(i)] is a column that is a pure unit vector on row
           [i] (e.g. that row's slack), used to warm-start the simplex with an
           identity basis.  [-1] entries mean "no hint for this row". *)
+  shared : shared;
 }
 
 val validate : ?strict:bool -> t -> unit
@@ -29,7 +41,35 @@ val validate : ?strict:bool -> t -> unit
     modelling bug in the planning LPs, so the robust planning pipeline
     opts in.
     @raise Invalid_argument with a descriptive message when an invariant
-    is violated. *)
+    is violated.
+
+    The checks run in a fixed order and the first failing one is
+    reported: dimensions and array lengths, the columns, bounds and
+    objective, the rhs, the hint.  The columns and the hint are checked
+    once per matrix (see {!shared}); bounds, objective and rhs on every
+    call. *)
+
+type matrix
+(** A validated matrix in the forms the revised simplex works on. *)
+
+val matrix : ?strict:bool -> t -> matrix
+(** {!validate}, returning the problem's matrix: computed on the first
+    call for these columns, shared afterwards. *)
+
+val with_identity : matrix -> Sparse_vec.t array
+(** The [ncols] columns followed by one unit column per row (the
+    artificial columns of the simplex).  Shared: do not mutate. *)
+
+type rows = private {
+  row_start : int array;
+      (** row [i]'s entries are at [\[row_start.(i), row_start.(i+1))] *)
+  row_col : int array;  (** their columns, ascending within a row *)
+  row_val : float array;
+}
+(** The [ncols] columns stored by rows. *)
+
+val rows : matrix -> rows
+(** The row-wise copy, built on first use and shared afterwards. *)
 
 val nnz : t -> int
 (** Total non-zeros in the constraint matrix. *)

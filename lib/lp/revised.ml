@@ -29,6 +29,8 @@ type stats = {
   btran_steps : int;
   btran_etas : int;
   lu_nnz : int;
+  dual_iterations : int;
+  dual_fallbacks : int;
 }
 
 type basis = { vars : int array; at_upper : bool array }
@@ -140,6 +142,8 @@ type state = {
   mutable btran_steps : int;
   mutable btran_etas : int;
   mutable lu_nnz : int;
+  mutable dual_iterations : int;
+  mutable dual_fallbacks : int;
   mutable consecutive_degenerate : int;
   mutable bland : bool;
   mutable pivots_since_drift_check : int;
@@ -516,7 +520,7 @@ let apply_flip st q dir w =
 (* A bound flip keeps the basis, so cached duals and reduced costs stay
    valid: no epoch bump. *)
 
-let apply_pivot st q dir w slot t to_upper =
+let update_pricing st q w slot =
   let leaving = st.basis.(slot) in
   let wp = w.(slot) in
   (* -- pricing cache maintenance (uses the OLD basis, before mutation) --
@@ -566,8 +570,15 @@ let apply_pivot st q dir w slot t to_upper =
     end
   end;
   st.epoch <- next;
-  st.since_refill <- st.since_refill + 1;
-  (* -- the pivot proper -- *)
+  st.since_refill <- st.since_refill + 1
+
+(* The pivot proper: the entering column [q] moves by [t] in direction
+   [dir] along the FTRAN column [w], and the basic variable of [slot]
+   leaves at its upper bound when [to_upper], else its lower; then the
+   eta file grows, and a refactorization follows when it is due. *)
+let pivot st q dir w slot t to_upper =
+  let leaving = st.basis.(slot) in
+  let wp = w.(slot) in
   for p = 0 to st.w.count - 1 do
     let s = st.w.index.(p) in
     let i = st.basis.(s) in
@@ -618,6 +629,10 @@ let apply_pivot st q dir w slot t to_upper =
     st.growth_refactorizations <- st.growth_refactorizations + 1;
     refactorize st
   end
+
+let apply_pivot st q dir w slot t to_upper =
+  update_pricing st q w slot;
+  pivot st q dir w slot t to_upper
 
 (* How often (in pivots) the FTRAN result is verified against the basis
    columns, and the scaled residual above which the eta file is declared
@@ -736,6 +751,220 @@ let optimize st c ~phase1 ~max_iterations =
   clear_bans ();
   r
 
+(* ---- bounded dual simplex, for warm starts ---- *)
+
+exception Dual_failed
+
+(* Reduced costs for the costs [c] at the current basis, into [st.dj],
+   for every nonbasic column that can move.  The duals land in
+   [st.y_cache], left unstamped so that pricing recomputes its own. *)
+let dual_prices st c =
+  duals_into st c st.y_cache;
+  st.y_epoch <- -1;
+  for j = 0 to st.ntot - 1 do
+    if st.where.(j) < 0 && not (is_fixed st j) then
+      st.dj.(j) <- c.(j) -. Sparse_vec.dot_dense st.cols.(j) st.y_cache
+  done
+
+(* The entry check, on the reduced costs in [st.dj]: the start is dual
+   feasible when every nonbasic column prices out at its bound, or is
+   boxed and would at its other bound.  Returns those boxed columns, or
+   [None] when some other column has a wrong-signed reduced cost. *)
+let dual_flips st =
+  let tol = st.opt_tol in
+  let rec go j acc =
+    if j >= st.ntot then Some acc
+    else if st.where.(j) >= 0 || is_fixed st j then go (j + 1) acc
+    else
+      let d = st.dj.(j) in
+      let wrong =
+        if is_free st j then Float.abs d > tol
+        else if st.at_upper.(j) then d > tol
+        else d < -.tol
+      in
+      if not wrong then go (j + 1) acc
+      else if st.lower.(j) > neg_infinity && st.upper.(j) < infinity then
+        go (j + 1) (j :: acc)
+      else None
+  in
+  go 0 []
+
+(* How far basic variable [j] is outside its bounds (0. within
+   [feas_tol]). *)
+let infeasibility st j =
+  let x = st.xval.(j) in
+  if x < st.lower.(j) -. st.feas_tol then st.lower.(j) -. x
+  else if x > st.upper.(j) +. st.feas_tol then x -. st.upper.(j)
+  else 0.
+
+let primal_feasible st =
+  Array.for_all (fun j -> infeasibility st j = 0.) st.basis
+
+(* The dual simplex from a dual feasible basis, until no basic variable
+   is out of bounds ([true]: phase 2 then proves optimality) or the
+   iteration/time budget runs out ([false]).  Each iteration:
+   - the leaving row [r] is the largest infeasibility² / dual Devex
+     weight;
+   - [rho = B^-T e_r] by BTRAN, and the pivot row [alpha_j = rho' a_j]
+     over the nonbasic columns from the row-wise copy of A;
+   - a Harris ratio test picks the entering column: pass 1 bounds the
+     dual step with every reduced cost relaxed by [opt_tol], pass 2 takes
+     the largest [|alpha_j|] whose ratio is within that bound;
+   - the reduced costs move along the pivot row, the FTRAN column of the
+     entering column updates the dual Devex weights, and {!pivot} takes
+     the primal step that lands the leaving variable on its violated
+     bound.
+   Raises [Dual_failed] on a dual-unbounded row (no eligible entering
+   column), on an FTRAN column that disagrees with the pivot row under a
+   fresh factorization, and when the pivots exceed [2m + 100]. *)
+let dual_simplex st (rows : Problem.rows) c ~max_iterations =
+  let m = st.m in
+  let piv_tol = 1e-9 and tol = st.opt_tol in
+  let cap = (2 * m) + 100 in
+  let dw = Array.make m 1. in
+  let alpha = Array.make st.ntot 0. in
+  let mark = Array.make st.ntot (-1) and pattern = Array.make st.ntot 0 in
+  let count = ref 0 and stamp = ref 0 in
+  let priced_at = ref st.refactorizations in
+  (* Whether nonbasic [j] bounds the dual step, with [a] the pivot row
+     entry signed so that the step is positive. *)
+  let eligible j a =
+    Float.abs a > piv_tol
+    && (not (is_fixed st j))
+    && (is_free st j || if st.at_upper.(j) then a < 0. else a > 0.)
+  in
+  let rec loop () =
+    if st.iterations >= max_iterations || past_deadline st then false
+    else begin
+      (* A refactorization recomputed the basic values; refresh the
+         reduced costs from the fresh factors too. *)
+      if st.refactorizations <> !priced_at then begin
+        dual_prices st c;
+        priced_at := st.refactorizations
+      end;
+      let r = ref (-1) and best = ref 0. in
+      for slot = 0 to m - 1 do
+        let inf = infeasibility st st.basis.(slot) in
+        if inf > 0. then begin
+          let score = inf *. inf /. dw.(slot) in
+          if score > !best then begin
+            best := score;
+            r := slot
+          end
+        end
+      done;
+      if !r < 0 then true
+      else if st.dual_iterations >= cap then raise Dual_failed
+      else iterate !r
+    end
+  and iterate r =
+    let p = st.basis.(r) in
+    let to_upper = st.xval.(p) > st.upper.(p) in
+    let sign = if to_upper then 1. else -1. in
+    Lu.push st.bin r;
+    st.bin.values.(r) <- 1.;
+    btran st;
+    incr stamp;
+    count := 0;
+    let rho = st.rho in
+    for k = 0 to rho.count - 1 do
+      let i = rho.index.(k) in
+      let ri = rho.values.(i) in
+      if ri <> 0. then
+        for e = rows.row_start.(i) to rows.row_start.(i + 1) - 1 do
+          let j = rows.row_col.(e) in
+          if st.where.(j) < 0 then begin
+            if mark.(j) <> !stamp then begin
+              mark.(j) <- !stamp;
+              alpha.(j) <- 0.;
+              pattern.(!count) <- j;
+              incr count
+            end;
+            alpha.(j) <- alpha.(j) +. (ri *. rows.row_val.(e))
+          end
+        done
+    done;
+    let bound = ref infinity in
+    for k = 0 to !count - 1 do
+      let j = pattern.(k) in
+      let a = sign *. alpha.(j) in
+      if eligible j a then begin
+        let b = (if a > 0. then st.dj.(j) +. tol else st.dj.(j) -. tol) /. a in
+        if b < !bound then bound := b
+      end
+    done;
+    if !bound = infinity then raise Dual_failed;
+    let q = ref (-1) and q_abs = ref 0. in
+    for k = 0 to !count - 1 do
+      let j = pattern.(k) in
+      let a = sign *. alpha.(j) in
+      if eligible j a && st.dj.(j) /. a <= !bound && Float.abs a > !q_abs
+      then begin
+        q := j;
+        q_abs := Float.abs a
+      end
+    done;
+    let q = !q in
+    let aq = alpha.(q) in
+    ftran_checked st q;
+    let w = st.w.values in
+    let wr = w.(r) in
+    if
+      Float.abs wr <= piv_tol
+      || Float.abs (wr -. aq) > 1e-6 *. Float.max 1. (Float.abs aq)
+    then begin
+      (* The row and the column disagree: refactorize and retry, or give
+         up when the factors are already fresh. *)
+      if st.n_etas = 0 then raise Dual_failed;
+      refactorize st;
+      loop ()
+    end
+    else begin
+      let theta = st.dj.(q) /. aq in
+      for k = 0 to !count - 1 do
+        let j = pattern.(k) in
+        st.dj.(j) <- st.dj.(j) -. (theta *. alpha.(j))
+      done;
+      st.dj.(q) <- 0.;
+      st.dj.(p) <- -.theta;
+      let gr = dw.(r) in
+      for k = 0 to st.w.count - 1 do
+        let i = st.w.index.(k) in
+        if i <> r then begin
+          let ratio = w.(i) /. wr in
+          let g = ratio *. ratio *. gr in
+          if g > dw.(i) then dw.(i) <- g
+        end
+      done;
+      dw.(r) <- Float.max 1. (gr /. (wr *. wr));
+      let target = if to_upper then st.upper.(p) else st.lower.(p) in
+      let step = (st.xval.(p) -. target) /. wr in
+      st.iterations <- st.iterations + 1;
+      st.dual_iterations <- st.dual_iterations + 1;
+      pivot st q (if step >= 0. then 1. else -1.) w r (Float.abs step) to_upper;
+      loop ()
+    end
+  in
+  loop ()
+
+(* A dual attempt's work, carried into the fresh state that replaces it
+   ([into] was built from the same token and factors). *)
+let absorb ~into st =
+  into.iterations <- st.iterations;
+  into.refactorizations <- st.refactorizations;
+  into.drift_refactorizations <- st.drift_refactorizations;
+  into.growth_refactorizations <- st.growth_refactorizations;
+  into.degenerate_pivots <- st.degenerate_pivots;
+  into.bound_flips <- st.bound_flips;
+  into.ftran_steps <- st.ftran_steps;
+  into.ftran_etas <- st.ftran_etas;
+  into.btran_steps <- st.btran_steps;
+  into.btran_etas <- st.btran_etas;
+  into.lu_nnz <- st.lu_nnz;
+  into.dual_iterations <- st.dual_iterations;
+  into.loop_ticks <- st.loop_ticks;
+  into.dual_fallbacks <- 1
+
 (* ---- state construction ---- *)
 
 exception Warm_start_failed
@@ -791,6 +1020,8 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
     btran_steps = 0;
     btran_etas = 0;
     lu_nnz = Lu.fill_nnz lu;
+    dual_iterations = 0;
+    dual_fallbacks = 0;
     consecutive_degenerate = 0;
     bland = false;
     pivots_since_drift_check = 0;
@@ -806,7 +1037,7 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
 let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     ?(opt_tol = 1e-7) ?(refactor_interval = 128) ?(bland_after = 2000)
     ?basis:warm ?cell prob =
-  Problem.validate prob;
+  let matrix = Problem.matrix prob in
   let deadline_at =
     match deadline with
     | None -> infinity
@@ -861,36 +1092,37 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
             btran_steps = st.btran_steps;
             btran_etas = st.btran_etas;
             lu_nnz = st.lu_nnz;
+            dual_iterations = st.dual_iterations;
+            dual_fallbacks = st.dual_fallbacks;
           };
         farkas = (if status = Infeasible then farkas else None);
         ray;
       },
       final_factor st )
   in
-  let phase2 st =
+  let phase2_costs () =
     let c = Array.make ntot 0. in
     Array.blit prob.Problem.obj 0 c 0 n;
-    match optimize st c ~phase1:false ~max_iterations with
+    c
+  in
+  let phase2 st =
+    match optimize st (phase2_costs ()) ~phase1:false ~max_iterations with
     | Optimal -> finish st Optimal
     | Unbounded -> finish st Unbounded
     | Iteration_limit -> finish st Iteration_limit
     | Infeasible -> assert false
   in
+  let cols = Problem.with_identity matrix in
   let fresh_arrays () =
-    let cols = Array.make ntot Sparse_vec.empty in
-    Array.blit prob.Problem.cols 0 cols 0 n;
-    for i = 0 to m - 1 do
-      cols.(n + i) <- Sparse_vec.of_arrays [| i |] [| 1. |]
-    done;
     let lower = Array.make ntot 0. and upper = Array.make ntot 0. in
     Array.blit prob.Problem.lower 0 lower 0 n;
     Array.blit prob.Problem.upper 0 upper 0 n;
-    (cols, lower, upper)
+    (lower, upper)
   in
   (* ---- cold start: bound-feasible nonbasic point, hinted or artificial
      basis, artificial-variable phase 1 when the start is infeasible ---- *)
   let solve_cold () =
-    let cols, lower, upper = fresh_arrays () in
+    let lower, upper = fresh_arrays () in
     let xval = Array.make ntot 0. in
     (* Nonbasic starting point: finite lower bound if any, else finite upper,
        else 0 for free variables. *)
@@ -993,33 +1225,15 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
           end
     end
   in
-  (* ---- warm start: adopt a prior basis, repair residual infeasibility
-     with a bound-relaxation phase 1, fall back to cold on any trouble ---- *)
+  (* ---- warm start: adopt a prior basis; a primal feasible one goes to
+     phase 2, a dual feasible one to the dual simplex, any other to a
+     bound-relaxation phase 1; fall back to cold on any trouble ---- *)
   let solve_warm wb =
-    let cols, lower, upper = fresh_arrays () in
-    let xval = Array.make ntot 0. in
-    let at_upper = Array.make ntot false in
     let basis = Array.make m (-1) in
-    let where = Array.make ntot (-1) in
     (* Artificials default to nonbasic, fixed at zero. *)
     for i = 0 to m - 1 do
       let j = wb.vars.(i) in
       basis.(i) <- (if j >= 0 then j else n + i)
-    done;
-    Array.iteri (fun slot j -> where.(j) <- slot) basis;
-    (* Nonbasic structurals sit at the recorded bound. *)
-    for j = 0 to n - 1 do
-      if where.(j) < 0 then
-        if wb.at_upper.(j) && upper.(j) < infinity then begin
-          xval.(j) <- upper.(j);
-          at_upper.(j) <- true
-        end
-        else if lower.(j) > neg_infinity then xval.(j) <- lower.(j)
-        else if upper.(j) < infinity then begin
-          xval.(j) <- upper.(j);
-          at_upper.(j) <- true
-        end
-        else xval.(j) <- 0.
     done;
     (* The token's factor is reused when its columns are bit-equal to this
        basis's; otherwise factor and fill the (still empty) cell.  A race
@@ -1042,36 +1256,55 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
               lu
           | exception Lu.Singular _ -> raise Warm_start_failed)
     in
-    let st =
-      make_state ~bland_after ~feas_tol ~opt_tol ~refactor_interval
-        ~deadline_at prob lu basis where xval at_upper lower upper cols ntot
+    (* The state of the token's basis, its basic values recomputed. *)
+    let start () =
+      let lower, upper = fresh_arrays () in
+      let xval = Array.make ntot 0. in
+      let at_upper = Array.make ntot false in
+      let basis = Array.copy basis in
+      let where = Array.make ntot (-1) in
+      Array.iteri (fun slot j -> where.(j) <- slot) basis;
+      (* Nonbasic structurals sit at the recorded bound. *)
+      for j = 0 to n - 1 do
+        if where.(j) < 0 then
+          if wb.at_upper.(j) && upper.(j) < infinity then begin
+            xval.(j) <- upper.(j);
+            at_upper.(j) <- true
+          end
+          else if lower.(j) > neg_infinity then xval.(j) <- lower.(j)
+          else if upper.(j) < infinity then begin
+            xval.(j) <- upper.(j);
+            at_upper.(j) <- true
+          end
+          else xval.(j) <- 0.
+      done;
+      let st =
+        make_state ~bland_after ~feas_tol ~opt_tol ~refactor_interval
+          ~deadline_at prob lu basis where xval at_upper lower upper cols ntot
+      in
+      recompute_basics st;
+      st
     in
-    recompute_basics st;
-    (* Collect bound violations of the warm basics. *)
-    let relaxed = ref [] in
-    let c1 = Array.make ntot 0. in
-    let infeasible = ref false in
-    Array.iter
-      (fun j ->
-        if st.xval.(j) > st.upper.(j) +. feas_tol then begin
-          relaxed := (j, st.lower.(j), st.upper.(j)) :: !relaxed;
-          st.upper.(j) <- infinity;
-          c1.(j) <- 1.;
-          infeasible := true
-        end
-        else if st.xval.(j) < st.lower.(j) -. feas_tol then begin
-          relaxed := (j, st.lower.(j), st.upper.(j)) :: !relaxed;
-          st.lower.(j) <- neg_infinity;
-          c1.(j) <- -1.;
-          infeasible := true
-        end)
-      st.basis;
-    if not !infeasible then phase2 st
-    else begin
-      (* Repair: drive each violating basic back towards its bound.  The
-         relaxation keeps the basis factorizable and needs no artificial
-         columns; any residual violation afterwards means the warm basis
-         was a bad guide, and the cold path decides feasibility. *)
+    (* Repair: drive each violating basic back towards its bound.  The
+       relaxation keeps the basis factorizable and needs no artificial
+       columns; any residual violation afterwards means the warm basis
+       was a bad guide, and the cold path decides feasibility. *)
+    let repair st =
+      let relaxed = ref [] in
+      let c1 = Array.make ntot 0. in
+      Array.iter
+        (fun j ->
+          if st.xval.(j) > st.upper.(j) +. feas_tol then begin
+            relaxed := (j, st.lower.(j), st.upper.(j)) :: !relaxed;
+            st.upper.(j) <- infinity;
+            c1.(j) <- 1.
+          end
+          else if st.xval.(j) < st.lower.(j) -. feas_tol then begin
+            relaxed := (j, st.lower.(j), st.upper.(j)) :: !relaxed;
+            st.lower.(j) <- neg_infinity;
+            c1.(j) <- -1.
+          end)
+        st.basis;
       match optimize st c1 ~phase1:true ~max_iterations with
       | Iteration_limit -> finish st Iteration_limit
       | Unbounded | Infeasible -> raise Warm_start_failed
@@ -1089,6 +1322,34 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
               !relaxed
           in
           if not ok then raise Warm_start_failed else phase2 st
+    in
+    let st = start () in
+    if primal_feasible st then phase2 st
+    else begin
+      (* One BTRAN and one pass over the reduced costs decide the path;
+         the phase-1 path recomputes everything it reads. *)
+      let c = phase2_costs () in
+      dual_prices st c;
+      match dual_flips st with
+      | None -> repair st
+      | Some flips -> (
+          List.iter
+            (fun j ->
+              st.at_upper.(j) <- not st.at_upper.(j);
+              st.xval.(j) <- (if st.at_upper.(j) then st.upper.(j) else st.lower.(j));
+              st.bound_flips <- st.bound_flips + 1)
+            flips;
+          if flips <> [] then recompute_basics st;
+          match dual_simplex st (Problem.rows matrix) c ~max_iterations with
+          | true -> phase2 st
+          | false -> finish st Iteration_limit
+          | exception Dual_failed ->
+              Log.debug (fun f ->
+                  f "dual simplex gave up after %d pivots: phase 1 instead"
+                    st.dual_iterations);
+              let fresh = start () in
+              absorb ~into:fresh st;
+              repair fresh)
     end
   in
   let warm_usable wb =
@@ -1133,6 +1394,8 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
         ("btran_steps", Obs.Trace.Int res.stats.btran_steps);
         ("btran_etas", Obs.Trace.Int res.stats.btran_etas);
         ("lu_nnz", Obs.Trace.Int res.stats.lu_nnz);
+        ("dual_iterations", Obs.Trace.Int res.stats.dual_iterations);
+        ("dual_fallbacks", Obs.Trace.Int res.stats.dual_fallbacks);
         ("warm", Obs.Trace.Bool warm_used);
         ("factor_reused", Obs.Trace.Bool !factor_reused);
       ];

@@ -15,11 +15,18 @@
     which guarantees termination.
 
     A previous solve's {!basis} can be fed back via [?basis] to warm-start
-    a related problem (same dimensions, perturbed rhs/bounds/objective):
-    the basis is refactorized, residual bound violations of the warm basic
-    variables are repaired by a bound-relaxation phase 1, and any failure
-    (singular basis, unrepairable violation) falls back to the cold path
-    transparently. *)
+    a related problem (same dimensions, perturbed rhs/bounds/objective).
+    The basis is refactorized and its basic values recomputed.  A start
+    that is primal feasible goes straight to phase 2.  One that is not,
+    but is dual feasible once each boxed nonbasic column with a
+    wrong-signed reduced cost moves to its other bound (the usual state
+    after an rhs or bound change), runs a bounded dual simplex (dual
+    Devex row choice, Harris ratio test) until no basic variable is out
+    of bounds, then phase 2 as the optimality check.  Otherwise, or when
+    the dual simplex meets a dual-unbounded row or numerical trouble, the
+    violations of the warm basic variables are repaired by a
+    bound-relaxation phase 1.  Any failure there (singular basis,
+    unrepairable violation) falls back to the cold path transparently. *)
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit
 
@@ -42,6 +49,12 @@ type stats = {
       (** LU steps processed by the BTRANs (pivot rows, duals) *)
   btran_etas : int;  (** etas those BTRANs visited *)
   lu_nnz : int;  (** LU nonzeros, summed over every factorization *)
+  dual_iterations : int;
+      (** dual simplex pivots of a warm start (included in [iterations]) *)
+  dual_fallbacks : int;
+      (** 1 when a warm start left the dual simplex for the
+          bound-relaxation phase 1 (dual unbounded row, numerical trouble
+          or the pivot cap), else 0 *)
 }
 
 type basis = {

@@ -53,7 +53,7 @@ let stats_list (s : Lp.Revised.stats) =
   [ s.iterations; s.phase1_iterations; s.refactorizations;
     s.degenerate_pivots; s.bound_flips; s.drift_refactorizations;
     s.growth_refactorizations; s.ftran_steps; s.ftran_etas; s.btran_steps;
-    s.btran_etas; s.lu_nnz ]
+    s.btran_etas; s.lu_nnz; s.dual_iterations; s.dual_fallbacks ]
 
 let check_results what (a : Lp.Revised.result) (b : Lp.Revised.result) =
   Alcotest.(check string) (what ^ " status")
@@ -296,6 +296,124 @@ let test_dense_stage_patched () =
         Alcotest.failf "budget %g: the optimum should be positive" budget)
     [ 0.5; 1.; 1.7 ]
 
+(* A re-solve checks the matrix once per instance and the patched rhs
+   and bounds every time: a NaN or infinite budget row, or a bound out of
+   order or NaN, is refused with the text a freshly lowered problem gets,
+   after the instance's matrix has been checked and shared. *)
+let test_patched_refusals () =
+  let topo, cost, samples, anchor, _ =
+    deployment ~seed:5 ~n:50 ~n_samples:15 ~k:10
+  in
+  let k = 10 in
+  let inst = Prospector.Lp_lf.instance topo cost samples ~k in
+  ignore (Prospector.Lp_lf.solve inst ~budget:anchor);
+  let shared = Prospector.Lp_lf.problem inst ~budget:anchor in
+  let fresh () =
+    Lp.Model.to_problem
+      (Prospector.Lp_lf.lp_model topo cost samples ~budget:anchor ~k)
+  in
+  let refusal f =
+    match f () with
+    | _ -> Alcotest.fail "accepted"
+    | exception Invalid_argument msg -> msg
+  in
+  let budget_row = shared.nrows - 1 in
+  (* an activation variable: upper bound 1, as an alive node's z *)
+  let z =
+    let rec find j =
+      if j >= shared.ncols then Alcotest.fail "no z column"
+      else if shared.upper.(j) = 1. && shared.lower.(j) = 0. then j
+      else find (j + 1)
+    in
+    find 0
+  in
+  let with_rhs x (p : Lp.Problem.t) =
+    let rhs = Array.copy p.rhs in
+    rhs.(budget_row) <- x;
+    { p with rhs }
+  and with_upper x (p : Lp.Problem.t) =
+    let upper = Array.copy p.upper in
+    upper.(z) <- x;
+    { p with upper }
+  in
+  List.iter
+    (fun (what, patch, expected) ->
+      let want = refusal (fun () -> Lp.Revised.solve (patch (fresh ()))) in
+      Alcotest.(check string) (what ^ " (fresh)") expected want;
+      Alcotest.(check string) (what ^ " (shared matrix)") want
+        (refusal (fun () -> Lp.Revised.solve (patch shared))))
+    [
+      ( "NaN budget",
+        with_rhs Float.nan,
+        Printf.sprintf "Problem: row %d has non-finite rhs nan" budget_row );
+      ( "infinite budget",
+        with_rhs infinity,
+        Printf.sprintf "Problem: row %d has non-finite rhs inf" budget_row );
+      ( "bound below lower",
+        with_upper (-1.),
+        Printf.sprintf "Problem: column %d has lower bound 0 > upper bound -1" z );
+      ("NaN bound", with_upper Float.nan, Printf.sprintf "Problem: NaN bound on column %d" z);
+    ];
+  (* The planner-level checks come first and are unchanged. *)
+  List.iter
+    (fun budget ->
+      Alcotest.(check string) "budget refused"
+        (Printf.sprintf
+           "Lp_lf.solve: budget must be a non-negative number, got %g" budget)
+        (refusal (fun () -> Prospector.Lp_lf.solve inst ~budget)))
+    [ Float.nan; -1. ];
+  Alcotest.(check string) "alive mask refused"
+    "Lp_lf.solve: alive mask length mismatch"
+    (refusal (fun () ->
+         Prospector.Lp_lf.solve ~alive:[| true |] inst ~budget:anchor))
+
+(* Guarantee solves of one instance share its half-window instance: two
+   of them build it once, where two fresh plans build it twice, and both
+   answer bit for bit as the fresh plans do. *)
+let test_ladder_shares_half_window () =
+  let topo, cost, samples, anchor, _ =
+    deployment ~seed:20060403 ~n:50 ~n_samples:16 ~k:10
+  in
+  let k = 10 and guarantee = (0.2, 0.2) in
+  let builds f =
+    let sink = Obs.Trace.create () in
+    Obs.Trace.install (Some sink);
+    let r = Fun.protect ~finally:(fun () -> Obs.Trace.install None) f in
+    ( r,
+      List.length
+        (List.filter
+           (fun (e : Obs.Trace.event) -> String.equal e.name "lp_lf.instance")
+           (Obs.Trace.events sink)) )
+  in
+  let inst = Prospector.Lp_lf.instance topo cost samples ~k in
+  let budgets = [ 0.8 *. anchor; 1.3 *. anchor ] in
+  let shared, shared_builds =
+    builds (fun () ->
+        List.map (fun budget -> Prospector.Lp_lf.solve ~guarantee inst ~budget) budgets)
+  in
+  let fresh, fresh_builds =
+    builds (fun () ->
+        List.map
+          (fun budget ->
+            Prospector.Lp_lf.plan ~guarantee topo cost samples ~budget ~k)
+          budgets)
+  in
+  Alcotest.(check int) "one half-window instance" 1 shared_builds;
+  Alcotest.(check int) "fresh plans build one each" 2 fresh_builds;
+  List.iter2
+    (fun (a : Prospector.Lp_lf.result) (b : Prospector.Lp_lf.result) ->
+      let fa, oa, sa = lp_result a and fb, ob, sb = lp_result b in
+      check_floats "fractional" fa fb;
+      check_floats "objective" [| oa |] [| ob |];
+      Alcotest.(check (list int)) "stats" sa sb;
+      match (a.guarantee, b.guarantee) with
+      | Some ga, Some gb ->
+          check_floats "certified lower"
+            [| ga.Prospector.Guarantee.certified_lower |]
+            [| gb.Prospector.Guarantee.certified_lower |]
+      | _ -> Alcotest.fail "no guarantee")
+    shared fresh
+
 let () =
   Alcotest.run "lp-lf-instance"
     [
@@ -311,5 +429,9 @@ let () =
             test_stale_cell_revised;
           Alcotest.test_case "dense stage solves the patched LP" `Quick
             test_dense_stage_patched;
+          Alcotest.test_case "patched vectors refused as before" `Quick
+            test_patched_refusals;
+          Alcotest.test_case "guarantee solves share the half window" `Quick
+            test_ladder_shares_half_window;
         ] );
     ]

@@ -16,6 +16,7 @@ let base_problem () =
     upper = [| 1.; infinity |];
     rhs = [| 1. |];
     basis_hint = None;
+    shared = Lp.Problem.fresh_shared ();
   }
 
 let test_validate_ok () = Lp.Problem.validate (base_problem ())
