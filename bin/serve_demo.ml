@@ -5,8 +5,11 @@
    Registers two sensor networks, then serves a short query stream that
    walks through each source the server distinguishes: a cold solve, an
    in-flight coalesced duplicate, an exact cache hit, a pooled warm start
-   at a perturbed budget, and a certified (eps, delta) guarantee query.
-   Finishes with the server's counters and the per-query trace. *)
+   at a perturbed budget, a certified (eps, delta) guarantee query and a
+   refused, unattainably tight one.  Finishes with the server's counters
+   and the per-query trace.  Each query is labelled with the regime it is
+   meant to show; the demo exits 1 when an answer does not match its
+   label, so `dune runtest` runs it as a check. *)
 
 let () =
   let rng = Rng.create 2006 in
@@ -43,28 +46,50 @@ let () =
   (* two calls: the second one's repeats can hit what the first cached *)
   let first_call =
     [|
-      q ~network:0 b0 (* cold *);
-      q ~network:0 b0 (* coalesces onto the previous one *);
-      q ~network:1 b1 (* cold, other tenant *);
+      (q ~network:0 b0, "cold");
+      (q ~network:0 b0, "coalesced" (* onto the previous one *));
+      (q ~network:1 b1, "cold" (* other tenant *));
     |]
   in
   let second_call =
     [|
-      q ~network:0 b0 (* exact cache hit *);
-      q ~network:0 (1.02 *. b0) (* pooled warm start *);
-      q ~network:1 ~guarantee:(0.8, 0.1) b1 (* attainable certified target *);
-      q ~network:1 ~guarantee:(0.05, 1e-6) b1 (* unattainably tight *);
+      (q ~network:0 b0, "cache" (* exact repeat *));
+      (q ~network:0 (1.02 *. b0), "pool" (* warm from tenant 0's basis *));
+      (q ~network:1 ~guarantee:(0.8, 0.1) b1, "guarantee met");
+      (q ~network:1 ~guarantee:(0.05, 1e-6) b1, "refused" (* unattainable *));
     |]
   in
-  let show offset stream outcomes =
+  (* The regime an answer shows, in the labels' terms. *)
+  let regime (query : Serve.Server.query) = function
+    | Serve.Server.Refused _ -> "refused"
+    | Serve.Server.Served r when r.coalesced -> "coalesced"
+    | Serve.Server.Served r -> (
+        match (query.guarantee, r.guarantee) with
+        | Some (eps, delta), Some g ->
+            if Prospector.Guarantee.meets g ~eps ~delta then "guarantee met"
+            else "guarantee missed"
+        | Some _, None -> "guarantee missing"
+        | None, _ -> Serve.Server.source_to_string r.source)
+  in
+  let mismatches = ref 0 in
+  let serve offset stream =
+    let outcomes = Serve.Server.run server (Array.map fst stream) in
     Array.iteri
       (fun i o ->
+        let query, label = stream.(i) in
+        let got = regime query o in
+        let verdict =
+          if String.equal got label then "ok"
+          else begin
+            incr mismatches;
+            Printf.sprintf "MISMATCH: expected %s, got %s" label got
+          end
+        in
         match o with
         | Serve.Server.Served r ->
             Format.printf
-              "q%d net=%d budget=%7.1f mJ -> %-5s%s objective %.2f, %.2f ms%s@."
-              (offset + i) stream.(i).Serve.Server.network
-              stream.(i).Serve.Server.budget
+              "q%d net=%d budget=%7.1f mJ -> %-5s%s objective %.2f, %.2f ms%s [%s]@."
+              (offset + i) query.network query.budget
               (Serve.Server.source_to_string r.source)
               (if r.coalesced then " (coalesced)" else "")
               r.objective r.solve_ms
@@ -74,12 +99,13 @@ let () =
                     g.Prospector.Guarantee.certified_lower
                     (1. -. g.Prospector.Guarantee.delta)
               | None -> "")
+              verdict
         | Serve.Server.Refused reason ->
-            Format.printf "q%d REFUSED: %s@." (offset + i) reason)
+            Format.printf "q%d REFUSED: %s [%s]@." (offset + i) reason verdict)
       outcomes
   in
-  show 0 first_call (Serve.Server.run server first_call);
-  show (Array.length first_call) second_call (Serve.Server.run server second_call);
+  serve 0 first_call;
+  serve (Array.length first_call) second_call;
   let s = Serve.Server.stats server in
   Format.printf
     "@.stats: %d queries in %d batches | cache %d, pool %d, cold %d, \
@@ -89,4 +115,8 @@ let () =
   Format.printf "trace:@.";
   List.iter
     (fun (key, tag) -> Format.printf "  %-9s %s@." tag key)
-    (Serve.Server.trace server)
+    (Serve.Server.trace server);
+  if !mismatches > 0 then begin
+    Format.printf "%d answer(s) did not match their label@." !mismatches;
+    exit 1
+  end

@@ -41,16 +41,15 @@ type basis
 
 val basis_shape : basis -> int * int
 (** The variable and constraint counts of the model the token came from —
-    the shape a model must have for the token to apply (used by warm-basis
-    pools to index tokens without holding a model). *)
+    the shape a model must have for the token to apply, read without
+    holding a model. *)
 
 val basis_compatible : t -> basis -> bool
 (** Whether the token fits this model.  This is the single
     basis-compatibility predicate: {!solve} consults it before using a
     [?warm_start], the certified fallback chain ([Robust_plan.solve], and
     through it every planner: [Replan], [Repair], the serving layer) drops
-    incompatible tokens with it, and basis pools validate candidates
-    against it. *)
+    incompatible tokens with it. *)
 
 type solution = {
   status : status;

@@ -38,8 +38,8 @@ val validate : ?strict:bool -> t -> unit
     or [upper = -inf].  With [strict] (default [false]), additionally
     reject empty columns — variables appearing in no constraint are legal
     LP-wise (and are handled by both solvers) but are almost always a
-    modelling bug in the planning LPs, so the robust planning pipeline
-    opts in.
+    modelling bug in the planning LPs.  No solver path passes it; the
+    adversarial LP suite ([test_lp_adversarial]) is its only caller.
     @raise Invalid_argument with a descriptive message when an invariant
     is violated.
 

@@ -965,6 +965,45 @@ let absorb ~into st =
   into.loop_ticks <- st.loop_ticks;
   into.dual_fallbacks <- 1
 
+let stats_of st =
+  {
+    iterations = st.iterations;
+    phase1_iterations = st.phase1_iterations;
+    refactorizations = st.refactorizations;
+    drift_refactorizations = st.drift_refactorizations;
+    growth_refactorizations = st.growth_refactorizations;
+    degenerate_pivots = st.degenerate_pivots;
+    bound_flips = st.bound_flips;
+    ftran_steps = st.ftran_steps;
+    ftran_etas = st.ftran_etas;
+    btran_steps = st.btran_steps;
+    btran_etas = st.btran_etas;
+    lu_nnz = st.lu_nnz;
+    dual_iterations = st.dual_iterations;
+    dual_fallbacks = st.dual_fallbacks;
+  }
+
+(* A failed warm attempt's work added to the cold solve that replaced
+   it, as [absorb] carries a dual attempt's into its phase 1. *)
+let add_stats (a : stats) (b : stats) =
+  {
+    iterations = a.iterations + b.iterations;
+    phase1_iterations = a.phase1_iterations + b.phase1_iterations;
+    refactorizations = a.refactorizations + b.refactorizations;
+    drift_refactorizations = a.drift_refactorizations + b.drift_refactorizations;
+    growth_refactorizations =
+      a.growth_refactorizations + b.growth_refactorizations;
+    degenerate_pivots = a.degenerate_pivots + b.degenerate_pivots;
+    bound_flips = a.bound_flips + b.bound_flips;
+    ftran_steps = a.ftran_steps + b.ftran_steps;
+    ftran_etas = a.ftran_etas + b.ftran_etas;
+    btran_steps = a.btran_steps + b.btran_steps;
+    btran_etas = a.btran_etas + b.btran_etas;
+    lu_nnz = a.lu_nnz + b.lu_nnz;
+    dual_iterations = a.dual_iterations + b.dual_iterations;
+    dual_fallbacks = a.dual_fallbacks + b.dual_fallbacks;
+  }
+
 (* ---- state construction ---- *)
 
 exception Warm_start_failed
@@ -1078,23 +1117,7 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
         objective;
         duals;
         basis;
-        stats =
-          {
-            iterations = st.iterations;
-            phase1_iterations = st.phase1_iterations;
-            refactorizations = st.refactorizations;
-            drift_refactorizations = st.drift_refactorizations;
-            growth_refactorizations = st.growth_refactorizations;
-            degenerate_pivots = st.degenerate_pivots;
-            bound_flips = st.bound_flips;
-            ftran_steps = st.ftran_steps;
-            ftran_etas = st.ftran_etas;
-            btran_steps = st.btran_steps;
-            btran_etas = st.btran_etas;
-            lu_nnz = st.lu_nnz;
-            dual_iterations = st.dual_iterations;
-            dual_fallbacks = st.dual_fallbacks;
-          };
+        stats = stats_of st;
         farkas = (if status = Infeasible then farkas else None);
         ray;
       },
@@ -1228,6 +1251,9 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
   (* ---- warm start: adopt a prior basis; a primal feasible one goes to
      phase 2, a dual feasible one to the dual simplex, any other to a
      bound-relaxation phase 1; fall back to cold on any trouble ---- *)
+  (* The warm attempt's latest state, whose counters a cold fallback
+     carries. *)
+  let attempt = ref None in
   let solve_warm wb =
     let basis = Array.make m (-1) in
     (* Artificials default to nonbasic, fixed at zero. *)
@@ -1282,6 +1308,7 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
         make_state ~bland_after ~feas_tol ~opt_tol ~refactor_interval
           ~deadline_at prob lu basis where xval at_upper lower upper cols ntot
       in
+      attempt := Some st;
       recompute_basics st;
       st
     in
@@ -1365,7 +1392,13 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
         try (solve_warm wb, true)
         with Warm_start_failed ->
           factor_reused := false;
-          (solve_cold (), false))
+          let res, factor = solve_cold () in
+          let res =
+            match !attempt with
+            | None -> res
+            | Some st -> { res with stats = add_stats (stats_of st) res.stats }
+          in
+          ((res, factor), false))
     | _ -> (solve_cold (), false)
   in
   let finished (res, factor) = (res, Atomic.make factor) in

@@ -26,7 +26,9 @@
     the dual simplex meets a dual-unbounded row or numerical trouble, the
     violations of the warm basic variables are repaired by a
     bound-relaxation phase 1.  Any failure there (singular basis,
-    unrepairable violation) falls back to the cold path transparently. *)
+    unrepairable violation) falls back to the cold path transparently;
+    the result's {!stats} then count the warm attempt's work with the cold
+    solve's. *)
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit
 

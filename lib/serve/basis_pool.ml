@@ -2,82 +2,54 @@ type entry = { basis : Lp.Model.basis; budget : float; seq : int }
 
 type t = {
   capacity : int;
-  (* bucket lists are kept sorted by budget (ties by seq) so every scan
-     below is over a canonically ordered list — no insertion-order leaks *)
-  buckets : (string, entry list) Hashtbl.t;
+  (* kept sorted by budget (ties by seq), so every scan below is over a
+     canonically ordered list *)
+  mutable entries : entry list;
   mutable seq : int;
-  mutable mismatches : int;
 }
 
 let create ~capacity =
   if capacity < 0 then invalid_arg "Basis_pool.create: negative capacity";
-  { capacity; buckets = Hashtbl.create 64; seq = 0; mismatches = 0 }
+  { capacity; entries = []; seq = 0 }
 
 let by_budget a b =
   match Float.compare a.budget b.budget with
   | 0 -> Int.compare a.seq b.seq
   | c -> c
 
-let bucket t shape = Option.value (Hashtbl.find_opt t.buckets shape) ~default:[]
-
-let insert t ~shape ~budget basis =
+let insert t ~budget basis =
   if t.capacity > 0 then begin
-    let existing = bucket t shape in
-    (* Buckets are homogeneous (the shape key determines the LP's
-       dimensions); a disagreeing token means a fingerprinting bug, so it
-       is counted and refused rather than handed to solvers. *)
-    let shape_ok =
-      match existing with
-      | [] -> true
-      | e :: _ ->
-          let bn, bm = Lp.Model.basis_shape basis in
-          let en, em = Lp.Model.basis_shape e.basis in
-          bn = en && bm = em
+    let seq = t.seq in
+    t.seq <- seq + 1;
+    let kept = List.filter (fun e -> e.budget <> budget) t.entries in
+    let kept =
+      if List.length kept >= t.capacity then
+        (* evict the oldest entry to make room for the newcomer *)
+        match
+          List.stable_sort
+            (fun (a : entry) (b : entry) -> Int.compare a.seq b.seq)
+            kept
+        with
+        | [] -> []
+        | _oldest :: rest -> rest
+      else kept
     in
-    if not shape_ok then t.mismatches <- t.mismatches + 1
-    else begin
-      let seq = t.seq in
-      t.seq <- seq + 1;
-      let kept = List.filter (fun e -> e.budget <> budget) existing in
-      let kept =
-        if List.length kept >= t.capacity then
-          (* evict the oldest entry to make room for the newcomer *)
-          match
-            List.stable_sort
-              (fun (a : entry) (b : entry) -> Int.compare a.seq b.seq)
-              kept
-          with
-          | [] -> []
-          | _oldest :: rest -> rest
-        else kept
-      in
-      Hashtbl.replace t.buckets shape
-        (List.stable_sort by_budget ({ basis; budget; seq } :: kept))
-    end
+    t.entries <- List.stable_sort by_budget ({ basis; budget; seq } :: kept)
   end
 
-let lookup t ~shape ~budget =
-  match bucket t shape with
-  | [] -> None
-  | entries ->
-      (* Nearest budget; the sorted bucket makes ties resolve to the lower
-         budget, then the older entry. *)
-      let best =
-        List.fold_left
-          (fun acc e ->
-            let d = Float.abs (e.budget -. budget) in
-            match acc with
-            | None -> Some (d, e)
-            | Some (bd, _) when d < bd -> Some (d, e)
-            | Some _ -> acc)
-          None entries
-      in
-      Option.map (fun (_, e) -> e.basis) best
+let lookup t ~budget =
+  (* Nearest budget; the sorted list makes ties resolve to the lower
+     budget, then the older entry. *)
+  let best =
+    List.fold_left
+      (fun acc e ->
+        let d = Float.abs (e.budget -. budget) in
+        match acc with
+        | None -> Some (d, e)
+        | Some (bd, _) when d < bd -> Some (d, e)
+        | Some _ -> acc)
+      None t.entries
+  in
+  Option.map (fun (_, e) -> e.basis) best
 
-let size t =
-  (* order-insensitive sum *)
-  (Hashtbl.fold [@lint.allow "R2"])
-    (fun _ entries acc -> acc + List.length entries)
-    t.buckets 0
-
-let dropped_shape_mismatches t = t.mismatches
+let size t = List.length t.entries

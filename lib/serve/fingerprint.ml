@@ -58,5 +58,3 @@ let family_key t =
     (guarantee_key t.guarantee_bits)
 
 let exact_key t = Printf.sprintf "%s/b%Lx" (family_key t) t.budget_bits
-
-let shape_key t = Printf.sprintf "t%Lx/m%d/k%d" t.topo_hash t.samples t.k

@@ -3,10 +3,7 @@
     Every admitted query is canonicalized to a fingerprint over
     (network, sample-window version, [k], budget, guarantee target).  Two
     queries with equal fingerprints are the {e same} query: they coalesce
-    in flight and share a plan-cache entry.  The fingerprint minus the
-    budget — the {!family_key} — identifies the set of queries whose LPs
-    differ only in the budget row's right-hand side, which is the unit of
-    budget-range plan validity and of warm-basis reuse.
+    in flight and share a plan-cache entry.
 
     Budgets and guarantee targets enter the keys as raw bit patterns, so
     distinct targets never share a key.  The one hash, of the spanning
@@ -23,7 +20,7 @@ type t = private {
       (** IEEE-754 bits of the (ε, δ) target, unhashed; [None] when
           absent *)
   topo_hash : int64;  (** structural hash of the network's spanning tree *)
-  samples : int;  (** window size — with [topo_hash] and [k], the LP shape *)
+  samples : int;  (** window size *)
 }
 
 val make :
@@ -40,17 +37,7 @@ val make :
 
 val hash_parents : root:int -> int array -> int64
 (** Structural hash of a spanning tree (root + parent array).  Equal trees
-    hash equal whatever process built them, so tenants registering the
-    same physical network share warm-basis pool buckets. *)
+    hash equal whatever process built them. *)
 
 val exact_key : t -> string
 (** The full identity, budget included — the plan-cache key. *)
-
-val family_key : t -> string
-(** The identity minus the budget — the budget-range validity family. *)
-
-val shape_key : t -> string
-(** (topo_hash, window size, k) — the LP-shape bucket of the warm-basis
-    pool.  Deliberately excludes the window {e version}: a basis from an
-    older window of the same shape is still a valid (and useful) warm
-    start for the perturbed LP. *)

@@ -1,17 +1,8 @@
 type 'a entry = { payload : 'a; mutable last_used : int; seq : int }
 
-type family = {
-  mutable basis : Lp.Model.basis;
-  mutable lo : float;
-  mutable hi : float;
-  mutable f_last_used : int;
-  f_seq : int;
-}
-
 type 'a t = {
   capacity : int;
   entries : (string, 'a entry) Hashtbl.t;
-  families : (string, family) Hashtbl.t;
   mutable clock : int;
   mutable seq : int;
   mutable evicted : int;
@@ -22,7 +13,6 @@ let create ~capacity =
   {
     capacity;
     entries = Hashtbl.create 64;
-    families = Hashtbl.create 64;
     clock = 0;
     seq = 0;
     evicted = 0;
@@ -44,18 +34,21 @@ let find t ~key =
       e.last_used <- tick t;
       Some e.payload
 
-(* Deterministic LRU victim: smallest (last_used, seq).  The O(n) scan is
-   fine at serving-cache sizes (hundreds); the fold feeds a sort so no
-   hash order leaks into the choice. *)
+(* Deterministic LRU victim: smallest (last_used, seq), found by one
+   scan.  Every entry's pair is distinct, so the minimum does not depend
+   on the order the table is walked in. *)
 let evict_lru table =
-  let victims =
-    Hashtbl.fold (fun key e acc -> (key, e.last_used, e.seq) :: acc) table []
-    |> List.sort (fun (_, u1, s1) (_, u2, s2) ->
-           match Int.compare u1 u2 with 0 -> Int.compare s1 s2 | c -> c)
+  let victim =
+    (Hashtbl.fold [@lint.allow "R2"])
+      (fun key e acc ->
+        match acc with
+        | Some (_, u, s)
+          when u < e.last_used || (u = e.last_used && s < e.seq) ->
+            acc
+        | _ -> Some (key, e.last_used, e.seq))
+      table None
   in
-  match victims with
-  | [] -> ()
-  | (key, _, _) :: _ -> Hashtbl.remove table key
+  Option.iter (fun (key, _, _) -> Hashtbl.remove table key) victim
 
 let add t ~key payload =
   if t.capacity > 0 then begin
@@ -69,53 +62,6 @@ let add t ~key payload =
     Hashtbl.replace t.entries key
       { payload; last_used = tick t; seq = next_seq t }
   end
-
-let family t ~key =
-  match Hashtbl.find_opt t.families key with
-  | None -> None
-  | Some f ->
-      f.f_last_used <- tick t;
-      Some (f.basis, f.lo, f.hi)
-
-let evict_lru_family table =
-  let victims =
-    Hashtbl.fold (fun key f acc -> (key, f.f_last_used, f.f_seq) :: acc) table []
-    |> List.sort (fun (_, u1, s1) (_, u2, s2) ->
-           match Int.compare u1 u2 with 0 -> Int.compare s1 s2 | c -> c)
-  in
-  match victims with
-  | [] -> ()
-  | (key, _, _) :: _ -> Hashtbl.remove table key
-
-let anchor_family t ~key ~basis ~budget =
-  if t.capacity > 0 then
-    match Hashtbl.find_opt t.families key with
-    | Some f ->
-        f.basis <- basis;
-        f.lo <- budget;
-        f.hi <- budget;
-        f.f_last_used <- tick t
-    | None ->
-        if Hashtbl.length t.families >= t.capacity then
-          evict_lru_family t.families;
-        Hashtbl.replace t.families key
-          {
-            basis;
-            lo = budget;
-            hi = budget;
-            f_last_used = tick t;
-            f_seq = next_seq t;
-          }
-
-let extend_family t ~key ~basis ~budget =
-  if t.capacity > 0 then
-    match Hashtbl.find_opt t.families key with
-    | None -> anchor_family t ~key ~basis ~budget
-    | Some f ->
-        f.basis <- basis;
-        f.lo <- Float.min f.lo budget;
-        f.hi <- Float.max f.hi budget;
-        f.f_last_used <- tick t
 
 let size t = Hashtbl.length t.entries
 

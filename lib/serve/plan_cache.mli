@@ -1,25 +1,9 @@
-(** Fingerprint-keyed plan cache with budget-range validity and
-    deterministic LRU eviction.
+(** Fingerprint-keyed plan cache with deterministic LRU eviction.
 
-    Two layers, both keyed by {!Fingerprint} renderings:
-
-    - {e exact entries} ({!find}/{!add}): one served payload per exact
-      fingerprint (budget included).  Re-serving one is free — no model
-      build, no solve, no re-certification (the payload already carries
-      the PR-3 report computed at exactly this budget).
-
-    - {e families} ({!family}/{!anchor_family}/{!extend_family}): per
-      budget-stripped fingerprint, the latest certified basis together
-      with the closed budget interval [lo, hi] on which that basis is
-      known optimal.  The range logic is sound by LP convexity: dual
-      feasibility of a basis does not depend on the budget row's
-      right-hand side, and the basic solution is affine in it, so a basis
-      primal-feasible (certified, with zero pivots) at two budgets is
-      optimal on the whole interval between them.  The serving layer
-      therefore extends a family's range exactly when a warm re-solve at a
-      new budget finishes in 0 iterations with the revised solver and
-      passes certification — every extension is certifier-checked
-      evidence, never an extrapolation.
+    One served payload per exact fingerprint ({!Fingerprint.exact_key},
+    budget included).  Re-serving one is free — no model build, no solve,
+    no re-certification (the payload already carries the PR-3 report
+    computed at exactly this budget).
 
     Eviction is deterministic: the least-recently-used entry goes first,
     ties broken towards the smaller insertion sequence number.  "Recently"
@@ -28,30 +12,17 @@
 type 'a t
 
 val create : capacity:int -> 'a t
-(** [capacity] bounds the exact entries and the families independently;
-    0 disables the cache (every operation is a no-op / miss). *)
+(** [capacity] bounds the entries; 0 disables the cache (every operation
+    is a no-op / miss). *)
 
 val find : 'a t -> key:string -> 'a option
 (** Exact lookup; refreshes the entry's LRU stamp. *)
 
 val add : 'a t -> key:string -> 'a -> unit
-(** Insert or replace; evicts the LRU exact entry when over capacity. *)
-
-val family : 'a t -> key:string -> (Lp.Model.basis * float * float) option
-(** [(basis, lo, hi)] for a family key; refreshes the family's LRU
-    stamp. *)
-
-val anchor_family : 'a t -> key:string -> basis:Lp.Model.basis -> budget:float -> unit
-(** Install (or reset) a family: the budget interval collapses to the
-    single certified point [budget]. *)
-
-val extend_family : 'a t -> key:string -> basis:Lp.Model.basis -> budget:float -> unit
-(** Widen the family's interval to include [budget] and refresh its basis.
-    Caller obligation: only after a certified 0-pivot re-solve at
-    [budget] (see the preamble); installs the family if absent. *)
+(** Insert or replace; evicts the LRU entry when over capacity. *)
 
 val size : 'a t -> int
-(** Exact entries currently held. *)
+(** Entries currently held. *)
 
 val evictions : 'a t -> int
-(** Exact entries evicted since creation. *)
+(** Entries evicted since creation. *)

@@ -17,15 +17,27 @@ let default_config =
     lp_deadline = None;
   }
 
+(* One LP+LF instance and the warm state kept for it.  Every basis held
+   here was computed on this instance's LP (the full window) or on its
+   guarantee ladder's planning window, so every token handed out fits the
+   LP it is handed to; a window refresh drops the whole record. *)
+type instance = {
+  lp : Prospector.Lp_lf.instance;
+  mutable range : (Lp.Model.basis * float * float) option;
+      (* the latest full-window basis and the closed budget interval on
+         which it is certified optimal (see [deposit]) *)
+  ladder : Basis_pool.t;  (* the guarantee ladder's planning-window bases *)
+}
+
 type network = {
   topo : Sensor.Topology.t;
   cost : Sensor.Cost.t;
   mutable window : Sampling.Sample_set.t;
   mutable version : int;
   topo_hash : int64;
-  (* the LP+LF instance of the window re-ranked for each queried k, built
+  (* the instance of the window re-ranked for each queried k, built
      lazily on the coordinator and cleared on window updates *)
-  insts : (int, Prospector.Lp_lf.instance) Hashtbl.t;
+  insts : (int, instance) Hashtbl.t;
 }
 
 type query = {
@@ -79,7 +91,6 @@ type t = {
   networks : (int, network) Hashtbl.t;
   mutable next_network : int;
   cache : response Plan_cache.t;
-  pool : Basis_pool.t;
   arenas : arena array;
   mutable trace_rev : (string * string) list;
   mutable s_queries : int;
@@ -101,7 +112,6 @@ let create ?(config = default_config) () =
     networks = Hashtbl.create 8;
     next_network = 0;
     cache = Plan_cache.create ~capacity:config.cache_capacity;
-    pool = Basis_pool.create ~capacity:config.pool_capacity;
     arenas = Array.init config.domains (fun _ -> { a_solves = 0; a_busy = 0. });
     trace_rev = [];
     s_queries = 0;
@@ -144,7 +154,7 @@ let update_window t ~network samples =
       net.version <- net.version + 1;
       Hashtbl.reset net.insts
 
-let instance_for_k net ~k =
+let instance_for_k t net ~k =
   match Hashtbl.find_opt net.insts k with
   | Some inst -> inst
   | None ->
@@ -153,7 +163,13 @@ let instance_for_k net ~k =
         if k = w.Sampling.Sample_set.k then w
         else Sampling.Sample_set.of_values ~k w.Sampling.Sample_set.values
       in
-      let inst = Prospector.Lp_lf.instance net.topo net.cost samples ~k in
+      let inst =
+        {
+          lp = Prospector.Lp_lf.instance net.topo net.cost samples ~k;
+          range = None;
+          ladder = Basis_pool.create ~capacity:t.config.pool_capacity;
+        }
+      in
       Hashtbl.replace net.insts k inst;
       inst
 
@@ -163,19 +179,20 @@ let instance_for_k net ~k =
 type task = {
   fp : Fingerprint.t;
   t_query : query;
-  t_inst : Prospector.Lp_lf.instance;
+  t_inst : instance;
   t_source : source;  (* Range_hit | Pool_warm | Cold *)
   warm : Lp.Model.basis option;
-  (* the warm token is the query's own family basis: a certified 0-pivot
-     re-solve then extends the family's budget range (see commit) *)
-  t_family_warm : bool;
+  (* the warm token is the instance's range basis: a certified 0-pivot
+     re-solve then extends the certified range (see [deposit]) *)
+  t_range_warm : bool;
 }
 
 type decision =
   | D_refuse of string
   | D_cached of string * response  (* exact key, the re-served payload *)
-  | D_task of int  (* leader: index into the batch's task array *)
+  | D_task of int  (* leader: index into the pass's task array *)
   | D_follow of int  (* coalesced follower of task [i] *)
+  | D_defer  (* admitted again after this pass commits *)
 
 let validate t q =
   match Hashtbl.find_opt t.networks q.network with
@@ -193,81 +210,86 @@ let validate t q =
         in
         if not guarantee_ok then Error "bad guarantee target" else Ok net
 
-(* Decide one batch sequentially: every cache, pool and coalescing choice
-   is made here, on the coordinator, before any solve runs. *)
-let admit t queries =
+(* Where a miss starts from: its instance's warm state for the window it
+   plans on. *)
+let warm_start inst (q : query) =
+  match q.guarantee with
+  | Some _ -> (
+      (* the ladder plans on its own window and escalates the budget rung
+         by rung, so the certified range does not apply; its first rung
+         starts from the ladder pool *)
+      match Basis_pool.lookup inst.ladder ~budget:q.budget with
+      | Some b -> (Pool_warm, Some b, false)
+      | None -> (Cold, None, false))
+  | None -> (
+      match inst.range with
+      | Some (b, lo, hi) when q.budget >= lo && q.budget <= hi ->
+          (Range_hit, Some b, true)
+      | Some (b, _, _) ->
+          (* outside the certified range: still warm from the range basis
+             — a certified 0-pivot re-solve is exactly the evidence that
+             lets the commit widen the range to here *)
+          (Pool_warm, Some b, true)
+      | None -> (Cold, None, false))
+
+(* Whether a committed task leaves a basis that a query like [q] would
+   start from: the ladder pool for a guarantee query, the range for a
+   plain one.  With both capacities at 0 the server keeps no warm state
+   at all (the cold baseline). *)
+let keeps_basis t (q : query) =
+  t.config.pool_capacity > 0
+  || (Option.is_none q.guarantee && t.config.cache_capacity > 0)
+
+(* Decide one pass over the [pending] queries of a batch sequentially:
+   every cache, pool, coalescing and deferral choice is made here, on the
+   coordinator, before any solve runs.  A query that would start cold on
+   an instance whose warm state a task of this pass is about to fill
+   waits for the next pass instead. *)
+let admit t queries pending =
   let tasks = ref [] in
   let ntasks = ref 0 in
   let leaders = Hashtbl.create 16 in
-  let decisions =
-    Array.map
-      (fun q ->
-        match validate t q with
-        | Error reason -> D_refuse reason
-        | Ok net -> (
-            (* re-ranking per k keeps the window's sample count *)
-            let fp =
-              Fingerprint.make ~network:q.network ~window:net.version ~k:q.k
-                ~budget:q.budget ~guarantee:q.guarantee
-                ~topo_hash:net.topo_hash
-                ~samples:(Sampling.Sample_set.n_samples net.window)
-            in
-            let key = Fingerprint.exact_key fp in
-            match Hashtbl.find_opt leaders key with
-            | Some i -> D_follow i
-            | None -> (
-                match Plan_cache.find t.cache ~key with
-                | Some r ->
-                    D_cached
-                      ( key,
-                        { r with source = Cache_hit; coalesced = false; solve_ms = 0. }
-                      )
-                | None ->
-                    let t_source, warm, t_family_warm =
-                      match q.guarantee with
-                      | Some _ -> (
-                          (* guarantee planning escalates the budget rung by
-                             rung, so family-range evidence does not apply;
-                             the pool still provides a warm hint *)
-                          match
-                            Basis_pool.lookup t.pool
-                              ~shape:(Fingerprint.shape_key fp) ~budget:q.budget
-                          with
-                          | Some b -> (Pool_warm, Some b, false)
-                          | None -> (Cold, None, false))
-                      | None -> (
-                          match
-                            Plan_cache.family t.cache
-                              ~key:(Fingerprint.family_key fp)
-                          with
-                          | Some (b, lo, hi) when q.budget >= lo && q.budget <= hi
-                            ->
-                              (Range_hit, Some b, true)
-                          | Some (b, _, _) ->
-                              (* outside the certified range: still warm from
-                                 the family basis — a certified 0-pivot
-                                 re-solve is exactly the evidence that lets
-                                 the commit phase widen the range to here *)
-                              (Pool_warm, Some b, true)
-                          | None -> (
-                              match
-                                Basis_pool.lookup t.pool
-                                  ~shape:(Fingerprint.shape_key fp)
-                                  ~budget:q.budget
-                              with
-                              | Some b -> (Pool_warm, Some b, false)
-                              | None -> (Cold, None, false)))
-                    in
-                    let i = !ntasks in
-                    ntasks := i + 1;
-                    Hashtbl.replace leaders key i;
-                    tasks :=
-                      { fp; t_query = q; t_inst = instance_for_k net ~k:q.k;
-                        t_source; warm; t_family_warm }
-                      :: !tasks;
-                    D_task i)))
-      queries
+  (* (instance, guarantee?) of every task in this pass *)
+  let filling = ref [] in
+  let decide q =
+    match validate t q with
+    | Error reason -> D_refuse reason
+    | Ok net -> (
+        (* re-ranking per k keeps the window's sample count *)
+        let fp =
+          Fingerprint.make ~network:q.network ~window:net.version ~k:q.k
+            ~budget:q.budget ~guarantee:q.guarantee ~topo_hash:net.topo_hash
+            ~samples:(Sampling.Sample_set.n_samples net.window)
+        in
+        let key = Fingerprint.exact_key fp in
+        match Hashtbl.find_opt leaders key with
+        | Some i -> D_follow i
+        | None -> (
+            match Plan_cache.find t.cache ~key with
+            | Some r ->
+                D_cached
+                  (key, { r with source = Cache_hit; coalesced = false; solve_ms = 0. })
+            | None ->
+                let inst = instance_for_k t net ~k:q.k in
+                let g = Option.is_some q.guarantee in
+                let t_source, warm, t_range_warm = warm_start inst q in
+                let cold = match t_source with Cold -> true | _ -> false in
+                let filled =
+                  List.exists (fun (i, g') -> i == inst && Bool.equal g g') !filling
+                in
+                if cold && filled && keeps_basis t q then D_defer
+                else begin
+                  let i = !ntasks in
+                  ntasks := i + 1;
+                  Hashtbl.replace leaders key i;
+                  filling := (inst, g) :: !filling;
+                  tasks :=
+                    { fp; t_query = q; t_inst = inst; t_source; warm; t_range_warm }
+                    :: !tasks;
+                  D_task i
+                end))
   in
+  let decisions = List.map (fun i -> (i, decide queries.(i))) pending in
   (decisions, Array.of_list (List.rev !tasks))
 
 (* ------------------------------------------------------------------ *)
@@ -290,7 +312,7 @@ let run_tasks t tasks =
           (Prospector.Lp_lf.solve ?warm_start:task.warm
              ?max_lp_iterations:t.config.max_lp_iterations
              ?lp_deadline:t.config.lp_deadline ?guarantee:task.t_query.guarantee
-             task.t_inst ~budget:task.t_query.budget)
+             task.t_inst.lp ~budget:task.t_query.budget)
       with e -> Error (Printexc.to_string e)
     in
     let dt = Obs.Trace.now () -. t0 in
@@ -330,6 +352,40 @@ let run_tasks t tasks =
 (* ------------------------------------------------------------------ *)
 (* Commit                                                              *)
 
+(* Keep a certified solve's final basis in its instance's warm state.  A
+   guarantee solve's basis belongs to the ladder's planning window and
+   goes to the ladder pool.  A full-window basis becomes the range basis
+   (unless the server keeps no warm state): the range is extended
+   exactly when this was a certified 0-pivot warm re-solve from the
+   range basis itself.  That is sound by LP convexity:
+   dual feasibility of a basis does not depend on the budget row's
+   right-hand side and the basic solution is affine in it, so a basis
+   primal feasible at two budgets is optimal on the whole interval
+   between them.  Any other solve collapses the range to its own
+   budget. *)
+let deposit t task (res : Prospector.Lp_lf.result) basis =
+  let inst = task.t_inst and budget = task.t_query.budget in
+  match task.t_query.guarantee with
+  | Some _ -> Basis_pool.insert inst.ladder ~budget basis
+  | None ->
+      if keeps_basis t task.t_query then
+        let zero_pivots =
+          match res.lp_stats with
+          | Some s -> s.Lp.Revised.iterations = 0
+          | None -> false
+        in
+        let extend =
+          match res.provenance with
+          | Prospector.Robust_plan.Certified_revised ->
+              task.t_range_warm && zero_pivots
+          | _ -> false
+        in
+        inst.range <-
+          (match inst.range with
+          | Some (_, lo, hi) when extend ->
+              Some (basis, Float.min lo budget, Float.max hi budget)
+          | _ -> Some (basis, budget, budget))
+
 let commit_task t task (result, dt) =
   match result with
   | Error msg -> Refused ("planner-exception: " ^ msg)
@@ -338,6 +394,7 @@ let commit_task t task (result, dt) =
       | None, _ | _, Prospector.Robust_plan.Fell_back_greedy ->
           Refused "uncertified: no LP stage passed certification"
       | Some report, provenance -> (
+          Option.iter (deposit t task res) res.basis;
           let serve guarantee =
             let resp =
               {
@@ -353,38 +410,6 @@ let commit_task t task (result, dt) =
               }
             in
             Plan_cache.add t.cache ~key:(Fingerprint.exact_key task.fp) resp;
-            (match res.basis with
-            | None -> ()
-            | Some basis ->
-                (match task.t_query.guarantee with
-                | Some _ -> ()
-                | None ->
-                    let fkey = Fingerprint.family_key task.fp in
-                    let zero_pivots =
-                      match res.lp_stats with
-                      | Some s -> s.Lp.Revised.iterations = 0
-                      | None -> false
-                    in
-                    let extend =
-                      (* certified 0-pivot warm re-solve from the family's
-                         own basis: the convexity evidence the range logic
-                         requires (see Plan_cache) — the basis is optimal at
-                         the family's certified points and now at this
-                         budget, hence on their convex hull *)
-                      match provenance with
-                      | Prospector.Robust_plan.Certified_revised ->
-                          task.t_family_warm && zero_pivots
-                      | _ -> false
-                    in
-                    if extend then
-                      Plan_cache.extend_family t.cache ~key:fkey ~basis
-                        ~budget:task.t_query.budget
-                    else
-                      Plan_cache.anchor_family t.cache ~key:fkey ~basis
-                        ~budget:task.t_query.budget);
-                Basis_pool.insert t.pool
-                  ~shape:(Fingerprint.shape_key task.fp)
-                  ~budget:task.t_query.budget basis);
             Served resp
           in
           match task.t_query.guarantee with
@@ -396,39 +421,58 @@ let commit_task t task (result, dt) =
 
 let push_trace t key tag = t.trace_rev <- (key, tag) :: t.trace_rev
 
+(* A batch runs in passes: admit the pending queries, fan out the pass's
+   tasks, commit them in task (= admission) order, then admit the
+   deferred queries again, now that their instances hold a basis.  Every
+   query is answered in admission order once the last pass has
+   committed — all sequential, all deterministic. *)
 let run_batch t queries outcomes ~offset ~len =
   let batch = Array.sub queries offset len in
   let t0 = Obs.Trace.now () in
-  let decisions, tasks = admit t batch in
-  let results = run_tasks t tasks in
-  t.s_solves <- t.s_solves + Array.length tasks;
-  (* Commit leaders in task (= admission) order, then answer every query in
-     admission order — all sequential, all deterministic. *)
-  let task_outcomes =
-    Array.mapi
-      (fun i task ->
-        match results.(i) with
-        | Some r -> commit_task t task r
-        | None -> Refused "internal: task never ran")
-      tasks
-  in
-  Array.iteri
-    (fun i d ->
-      let outcome, key, tag =
-        match d with
-        | D_refuse reason -> (Refused reason, "-", "refused")
-        | D_cached (key, r) -> (Served r, key, "cache")
-        | D_task ti -> (
-            let key = Fingerprint.exact_key tasks.(ti).fp in
-            match task_outcomes.(ti) with
-            | Served r -> (Served r, key, source_to_string r.source)
-            | Refused _ as o -> (o, key, "refused"))
-        | D_follow ti -> (
-            let key = Fingerprint.exact_key tasks.(ti).fp in
-            match task_outcomes.(ti) with
-            | Served r -> (Served { r with coalesced = true }, key, "coalesced")
-            | Refused _ as o -> (o, key, "refused"))
+  let answers = Array.make len (Refused "unprocessed", "-", "refused") in
+  let ntasks = ref 0 and passes = ref 0 and widest = ref 0 in
+  let rec pass pending =
+    if pending <> [] then begin
+      let decisions, tasks = admit t batch pending in
+      let results = run_tasks t tasks in
+      let n = Array.length tasks in
+      ntasks := !ntasks + n;
+      widest := Int.max !widest n;
+      incr passes;
+      let task_outcomes =
+        Array.mapi
+          (fun i task ->
+            match results.(i) with
+            | Some r -> commit_task t task r
+            | None -> Refused "internal: task never ran")
+          tasks
       in
+      let answer ti ~follower =
+        let key = Fingerprint.exact_key tasks.(ti).fp in
+        match task_outcomes.(ti) with
+        | Served r when follower -> (Served { r with coalesced = true }, key, "coalesced")
+        | Served r -> (Served r, key, source_to_string r.source)
+        | Refused _ as o -> (o, key, "refused")
+      in
+      List.iter
+        (fun (i, d) ->
+          match d with
+          | D_refuse reason -> answers.(i) <- (Refused reason, "-", "refused")
+          | D_cached (key, r) -> answers.(i) <- (Served r, key, "cache")
+          | D_task ti -> answers.(i) <- answer ti ~follower:false
+          | D_follow ti -> answers.(i) <- answer ti ~follower:true
+          | D_defer -> ())
+        decisions;
+      pass
+        (List.filter_map
+           (function i, D_defer -> Some i | _ -> None)
+           decisions)
+    end
+  in
+  pass (List.init len Fun.id);
+  t.s_solves <- t.s_solves + !ntasks;
+  Array.iteri
+    (fun i (outcome, key, tag) ->
       t.s_queries <- t.s_queries + 1;
       (match outcome with
       | Refused _ -> t.s_refused <- t.s_refused + 1
@@ -442,14 +486,15 @@ let run_batch t queries outcomes ~offset ~len =
             | Cold -> t.s_cold <- t.s_cold + 1));
       push_trace t key tag;
       outcomes.(offset + i) <- outcome)
-    decisions;
+    answers;
   t.s_batches <- t.s_batches + 1;
   let dur = Obs.Trace.now () -. t0 in
   Obs.Trace.emit Serve ~name:"serve.batch" ~start_s:t0 ~dur_s:dur
     [
       ("queries", Obs.Trace.Int len);
-      ("tasks", Obs.Trace.Int (Array.length tasks));
-      ("domains", Obs.Trace.Int (effective_domains t (Array.length tasks)));
+      ("tasks", Obs.Trace.Int !ntasks);
+      ("passes", Obs.Trace.Int !passes);
+      ("domains", Obs.Trace.Int (effective_domains t !widest));
     ]
 
 let run t queries =

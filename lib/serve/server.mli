@@ -6,9 +6,9 @@
     submit streams of top-k queries against them; the server admits
     queries in deterministic batches, canonicalizes each to a
     {!Fingerprint}, coalesces duplicates in flight, serves repeats from a
-    {!Plan_cache} (exact hits and certified budget-range hits), warm-starts
-    misses from a shared {!Basis_pool}, and fans the remaining LP solves
-    across OCaml 5 domains.
+    {!Plan_cache}, warm-starts misses from their LP instance's own warm
+    state (a certified budget range and {!Basis_pool}s), and fans the
+    remaining LP solves across OCaml 5 domains.
 
     {b Certification discipline}: an uncertified plan is never served.
     Every {!Served} response carries the PR-3 certification report that
@@ -18,8 +18,23 @@
     Greedy fallbacks, failed certifications and unattainable guarantee
     targets yield {!Refused}, never a silently weaker answer.
 
-    {b Determinism}: all admission, cache, pool and coalescing decisions
-    happen on the coordinating domain between fan-out barriers, and every
+    {b Warm state}: an LP+LF program's rows and columns follow its
+    window's ones, so a basis is only a warm start for the LP it was
+    computed on.  The server keeps, per (network, window version, [k])
+    instance, the latest full-window basis with the closed budget
+    interval on which it is certified optimal (extended only by a
+    certified 0-pivot warm re-solve from that basis: dual feasibility
+    does not depend on the budget and the basic solution is affine in
+    it) and a pool of the guarantee ladder's planning-window bases.  Both
+    go with the instance when the window is refreshed.  Within a batch, a
+    query that would start cold on an instance that already has a solve
+    in flight waits for that solve to commit and then starts from its
+    basis, so a refreshed window or a new [k] costs one cold solve per
+    batch.
+
+    {b Determinism}: all admission, cache, pool, coalescing and deferral
+    decisions happen on the coordinating domain between fan-out barriers,
+    and every
     solve is a pure function of coordinator-chosen inputs (instance,
     budget, warm basis; which domain first fills a token's factor cell is
     timing, but a reused factor is bit for bit a fresh one).  The LP+LF instance of each (network, window version, [k]) is
@@ -34,15 +49,20 @@
     order even though the claimant identities are timing-dependent.
 
     {b Telemetry}: the server keeps its own always-on tallies ({!stats})
-    and emits one [Serve] trace span per admission batch.  The trace sink
+    and emits one [Serve] trace span per admission batch (with its task
+    and pass counts).  The trace sink
     is single-domain by design, so while one is installed the server runs
     its solves inline (effective [domains] = 1, as each [serve.batch] span
     reports); parallel fan-out is for the untraced serving
     configuration. *)
 
 type config = {
-  cache_capacity : int;  (** exact plan-cache entries (and families); 0 disables *)
-  pool_capacity : int;  (** warm-basis pool entries per LP shape; 0 disables *)
+  cache_capacity : int;
+      (** exact plan-cache entries; 0 disables the cache *)
+  pool_capacity : int;
+      (** guarantee-ladder bases kept per instance; 0 disables the ladder
+          pool.  The certified range is kept while either capacity is
+          positive; with both at 0 the server keeps no warm state. *)
   batch : int;  (** admission batch size *)
   domains : int;
       (** worker domains for miss fan-out (>= 1); 1 while an [Obs.Trace]
@@ -52,7 +72,7 @@ type config = {
 }
 
 val default_config : config
-(** cache 256, pool 8 per shape, batch 32, domains 1, no solver caps. *)
+(** cache 256, pool 8, batch 32, domains 1, no solver caps. *)
 
 type t
 
@@ -68,10 +88,10 @@ val register :
 val update_window : t -> network:int -> Sampling.Sample_set.t -> unit
 (** Install a fresh sample window and bump the network's window version:
     cached plans for older windows age out of the LRU naturally (their
-    fingerprints can no longer be formed), while pooled bases of the same
-    shape remain available as warm-start hints.  The network's LP+LF
-    instances are dropped; the next query per [k] builds the new
-    window's. *)
+    fingerprints can no longer be formed).  The network's LP+LF
+    instances are dropped with their warm bases, which belong to the old
+    window's LPs; the next query per [k] builds the new window's
+    instance and solves it cold. *)
 
 type query = {
   network : int;
@@ -88,13 +108,14 @@ val query : ?guarantee:float * float -> network:int -> k:int -> float -> query
 type source =
   | Cache_hit  (** exact fingerprint: no model build, no solve *)
   | Range_hit
-      (** same family, budget inside the certified budget-range: warm
-          re-solve from the family basis (usually 0 pivots) + certify *)
+      (** budget inside the instance's certified range: warm re-solve
+          from the range basis (usually 0 pivots) + certify *)
   | Pool_warm
-      (** miss warm-started from a pooled basis — the query's own family
-          basis when its budget falls outside the family's certified
-          range (a certified 0-pivot re-solve then widens the range to
-          cover it), otherwise the shared pool's nearest-budget basis *)
+      (** miss warm-started from a basis of the same instance: the range
+          basis when the budget falls outside the certified range (a
+          certified 0-pivot re-solve then widens the range to cover it);
+          for a guarantee query, the ladder's first rung starts from the
+          nearest-budget basis of the ladder pool *)
   | Cold  (** miss solved from scratch *)
 
 val source_to_string : source -> string
@@ -116,7 +137,8 @@ type response = {
 type outcome = Served of response | Refused of string
 
 val run : t -> query array -> outcome array
-(** Serve a stream: split into admission batches, decide, fan out, commit.
+(** Serve a stream: split into admission batches; per batch, decide, fan
+    out and commit in passes until no query is deferred.
     [outcomes.(i)] answers [queries.(i)].  Never raises on solver failure
     or bad queries — both are {!Refused}. *)
 

@@ -52,10 +52,11 @@ let perturb rng ~nvars (p : Lp.Problem.t) =
    warm from that basis and cold.  Of the 119 copies with an optimum, 17
    take dual pivots (at least 1 in 8 must); the others mostly keep a
    primal feasible basis (the LPs have at most six rows).  Every copy
-   without an optimum enters the dual path too, meets a dual-unbounded
-   row and ends in a cold solve, which must agree on the verdict. *)
+   without an optimum (26 of them) enters the dual path too, meets a
+   dual-unbounded row and ends in a cold solve, which must agree on the
+   verdict and whose stats must still count the dual fallback. *)
 let test_corpus () =
-  let cases = ref 0 and dual = ref 0 in
+  let cases = ref 0 and dual = ref 0 and no_optimum = ref 0 in
   let resolve ~seed ~nvars model basis rng =
     let problem = perturb rng ~nvars (Lp.Model.to_problem model) in
     let warm, wr = Lp.Model.solve_certified ~warm_start:basis ~problem model in
@@ -76,6 +77,11 @@ let test_corpus () =
         Alcotest.failf "seed %d: warm %.17g vs cold %.17g" seed warm.objective
           cold.objective
     end
+    else begin
+      incr no_optimum;
+      if s.dual_fallbacks < 1 then
+        Alcotest.failf "seed %d: cold fallback dropped the dual attempt" seed
+    end
   in
   for seed = 0 to 199 do
     let spec = Lp_corpus.gen_spec (Rng.create seed) in
@@ -90,6 +96,7 @@ let test_corpus () =
     | _ -> ()
   done;
   Alcotest.(check int) "perturbed copies with an optimum" 119 !cases;
+  Alcotest.(check int) "perturbed copies without one" 26 !no_optimum;
   Alcotest.(check bool)
     (Printf.sprintf "at least 1 in 8 by the dual simplex (%d)" !dual)
     true

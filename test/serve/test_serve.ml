@@ -68,22 +68,25 @@ let test_sources_and_coalescing () =
   let t = server_of [ e ] in
   let b = 0.5 *. e.full_mj in
   let q budget = Serve.Server.query ~network:0 ~k:4 budget in
-  (* one batch: leader + coalesced follower + a distinct cold query *)
+  (* one batch: leader + coalesced follower + a distinct query on the
+     same instance, which waits for the leader's basis and starts warm *)
   let out = Serve.Server.run t [| q b; q b; q (0.9 *. b) |] in
   (* a coalesced follower reports its leader's source; only the trace tag
      and the [coalesced] flag say it rode along *)
   Alcotest.(check (list string))
-    "first batch sources" [ "cold"; "cold"; "cold" ]
+    "first batch sources" [ "cold"; "cold"; "pool" ]
     (Array.to_list (Array.map source out));
   let r0 = served out.(0) and r1 = served out.(1) in
   Alcotest.(check bool) "leader not coalesced" false r0.coalesced;
   Alcotest.(check bool) "follower coalesced" true r1.coalesced;
   Alcotest.(check bool) "certified" true r0.certify.Lp.Certify.certified;
   Alcotest.(check (float 0.)) "follower shares the plan" r0.objective r1.objective;
-  (* second call: exact repeat hits the cache, perturbed budget warms *)
+  (* second call: exact repeat hits the cache; the warm 0.9b re-solve
+     kept the leader's basis (0 pivots), so the range now covers
+     [0.9b, b] and a budget inside it is a range hit *)
   let out2 = Serve.Server.run t [| q b; q (0.95 *. b) |] in
   Alcotest.(check string) "exact repeat" "cache" (source out2.(0));
-  Alcotest.(check string) "perturbed budget" "pool" (source out2.(1));
+  Alcotest.(check string) "budget inside the range" "range" (source out2.(1));
   Alcotest.(check (float 0.)) "cache hit solves nothing" 0.
     (served out2.(0)).solve_ms;
   let s = Serve.Server.stats t in
@@ -91,13 +94,14 @@ let test_sources_and_coalescing () =
   Alcotest.(check int) "cache hits" 1 s.cache_hits;
   Alcotest.(check int) "coalesced" 1 s.coalesced;
   Alcotest.(check int) "pool hits" 1 s.pool_hits;
-  Alcotest.(check int) "cold misses" 2 s.cold_misses;
+  Alcotest.(check int) "range hits" 1 s.range_hits;
+  Alcotest.(check int) "cold misses" 1 s.cold_misses;
   Alcotest.(check int) "solves = tasks" 3 s.solves;
   let trace = Serve.Server.trace t in
   Alcotest.(check int) "one trace entry per query" 5 (List.length trace);
   Alcotest.(check (list string))
     "trace tags"
-    [ "cold"; "coalesced"; "cold"; "cache"; "pool" ]
+    [ "cold"; "coalesced"; "pool"; "cache"; "range" ]
     (List.map snd trace);
   (* arena accounting: single domain, every solve on slot 0 *)
   let arenas = Serve.Server.arena_stats t in
@@ -317,31 +321,26 @@ let test_pool_nearest () =
     Option.get r.Prospector.Lp_lf.basis
   in
   let b_lo = solve (0.4 *. e.full_mj) and b_hi = solve (0.7 *. e.full_mj) in
-  let p = Serve.Basis_pool.create ~capacity:4 in
-  Serve.Basis_pool.insert p ~shape:"s" ~budget:10. b_lo;
-  Serve.Basis_pool.insert p ~shape:"s" ~budget:20. b_hi;
+  let p = Serve.Basis_pool.create ~capacity:2 in
+  Serve.Basis_pool.insert p ~budget:10. b_lo;
+  Serve.Basis_pool.insert p ~budget:20. b_hi;
   let is b = function Some b' -> b' == b | None -> false in
   Alcotest.(check bool) "nearest low" true
-    (is b_lo (Serve.Basis_pool.lookup p ~shape:"s" ~budget:12.));
+    (is b_lo (Serve.Basis_pool.lookup p ~budget:12.));
   Alcotest.(check bool) "nearest high" true
-    (is b_hi (Serve.Basis_pool.lookup p ~shape:"s" ~budget:19.));
+    (is b_hi (Serve.Basis_pool.lookup p ~budget:19.));
   Alcotest.(check bool) "tie goes low" true
-    (is b_lo (Serve.Basis_pool.lookup p ~shape:"s" ~budget:15.));
-  Alcotest.(check bool) "other bucket misses" true
-    (Serve.Basis_pool.lookup p ~shape:"t" ~budget:15. = None);
-  (* a token of a different LP shape is refused, not handed out *)
-  let e_small = mk_env ~n:12 ~k:2 ~count:6 42 in
-  let alien =
-    let r =
-      Prospector.Lp_lf.plan e_small.topo e_small.cost e_small.samples
-        ~budget:(0.5 *. e_small.full_mj) ~k:2
-    in
-    Option.get r.Prospector.Lp_lf.basis
-  in
-  Serve.Basis_pool.insert p ~shape:"s" ~budget:30. alien;
-  Alcotest.(check int) "mismatch dropped" 1
-    (Serve.Basis_pool.dropped_shape_mismatches p);
-  Alcotest.(check int) "pool size unchanged" 2 (Serve.Basis_pool.size p)
+    (is b_lo (Serve.Basis_pool.lookup p ~budget:15.));
+  (* a full pool evicts its oldest entry, whatever its budget *)
+  Serve.Basis_pool.insert p ~budget:30. b_lo;
+  Alcotest.(check int) "capacity holds" 2 (Serve.Basis_pool.size p);
+  Alcotest.(check bool) "oldest evicted" true
+    (is b_hi (Serve.Basis_pool.lookup p ~budget:11.));
+  (* capacity 0 disables the pool *)
+  let z = Serve.Basis_pool.create ~capacity:0 in
+  Serve.Basis_pool.insert z ~budget:10. b_lo;
+  Alcotest.(check bool) "disabled pool misses" true
+    (Serve.Basis_pool.lookup z ~budget:10. = None)
 
 (* ------------------------------------------------------------------ *)
 
@@ -422,7 +421,8 @@ let test_window_rotation () =
   ignore (Serve.Server.run t [| q |]);
   Alcotest.(check string) "repeat hits" "cache"
     (source (Serve.Server.run t [| q |]).(0));
-  (* a fresh window invalidates exact plans but keeps same-shape bases warm *)
+  (* a fresh window invalidates exact plans and the instance's bases: its
+     LP has other rows and columns, so the first solve on it is cold *)
   let rng = Rng.create 82 in
   let field =
     Sampling.Field.random_gaussian rng ~n:24 ~mean_lo:18. ~mean_hi:26.
@@ -431,10 +431,178 @@ let test_window_rotation () =
   Serve.Server.update_window t ~network:0
     (Sampling.Sample_set.draw rng field ~k:4 ~count:12);
   let out = Serve.Server.run t [| q |] in
-  Alcotest.(check string) "stale plan not re-served, basis reused" "pool"
+  Alcotest.(check string) "stale plan not re-served, no stale basis" "cold"
     (source out.(0));
   Alcotest.(check bool) "re-certified on the new window" true
     (served out.(0)).certify.Lp.Certify.certified
+
+(* A source tag is a claim about the solve: every task tagged "pool" or
+   "range" must have run the warm path (its first [lp.revised] span says
+   [warm = true]) and every "cold" one the cold path.  Queries go one per
+   call so that a call's spans are its query's; the stream walks cold,
+   cache, pool and range starts, guarantee ladders starting cold and
+   from the ladder pool, and a window refresh. *)
+let honest_sources ?config ~expected () =
+  let e = mk_env ~n:20 ~count:16 91 in
+  let t = server_of ?config [ e ] in
+  let b = 0.5 *. e.full_mj in
+  let q ?guarantee f = Serve.Server.query ?guarantee ~network:0 ~k:4 (f *. b) in
+  let sink = Obs.Trace.create () in
+  let serve_one query =
+    Obs.Trace.clear sink;
+    Serve.Server.clear_trace t;
+    Obs.Trace.install (Some sink);
+    let out =
+      Fun.protect
+        ~finally:(fun () -> Obs.Trace.install None)
+        (fun () -> Serve.Server.run t [| query |])
+    in
+    let tag =
+      match Serve.Server.trace t with
+      | [ (_, tag) ] -> tag
+      | l -> Alcotest.failf "%d trace entries for one query" (List.length l)
+    in
+    let first_warm =
+      List.find_map
+        (fun (ev : Obs.Trace.event) ->
+          if String.equal ev.name "lp.revised" then
+            Some (Obs.Trace.find_attr ev "warm")
+          else None)
+        (Obs.Trace.events sink)
+    in
+    (match (tag, first_warm) with
+    | ("pool" | "range"), Some (Some (Obs.Trace.Bool true))
+    | "cold", Some (Some (Obs.Trace.Bool false))
+    | "cache", None ->
+        ()
+    | _, Some (Some (Obs.Trace.Bool w)) ->
+        Alcotest.failf "tagged %s but the solve ran warm = %b" tag w
+    | _ -> Alcotest.failf "tagged %s: no lp.revised span to match" tag);
+    (match out.(0) with
+    | Serve.Server.Served r -> (
+        match (query.Serve.Server.guarantee, r.guarantee) with
+        | Some (eps, delta), Some g ->
+            Alcotest.(check bool) "guarantee met" true
+              (Prospector.Guarantee.meets g ~eps ~delta)
+        | _ -> ())
+    | Serve.Server.Refused reason -> Alcotest.failf "refused: %s" reason);
+    tag
+  in
+  let g = (0.9, 0.5) in
+  let stream () =
+    List.map serve_one
+      [
+        q 1.;
+        q 1.;
+        q 1.001;
+        q 1.0005;
+        q 0.7;
+        q ~guarantee:g 1.;
+        q ~guarantee:g 1.1;
+        q ~guarantee:(0.8, 0.5) 0.9;
+      ]
+  in
+  Alcotest.(check (list string)) "first window" expected (stream ());
+  let rng = Rng.create 92 in
+  let field =
+    Sampling.Field.random_gaussian rng ~n:20 ~mean_lo:18. ~mean_hi:26.
+      ~sigma_lo:1. ~sigma_hi:4.
+  in
+  Serve.Server.update_window t ~network:0
+    (Sampling.Sample_set.draw rng field ~k:4 ~count:16);
+  Alcotest.(check (list string)) "refreshed window" expected (stream ())
+
+let test_honest_sources () =
+  honest_sources
+    ~expected:[ "cold"; "cache"; "pool"; "range"; "pool"; "cold"; "pool"; "pool" ]
+    ()
+
+(* The warm state does not depend on the plan cache: with the cache off
+   a repeat is a range hit instead of a cache hit, and everything else
+   starts where it did.  With the pool off too the server keeps nothing
+   and every query is cold. *)
+let test_honest_sources_uncached () =
+  honest_sources ~config:(config ~cache:0 ())
+    ~expected:[ "cold"; "range"; "pool"; "range"; "pool"; "cold"; "pool"; "pool" ]
+    ();
+  honest_sources ~config:(config ~cache:0 ~pool:0 ())
+    ~expected:(List.init 8 (fun _ -> "cold"))
+    ()
+
+(* One batch holding several distinct-budget queries per instance on
+   freshly refreshed windows, guarantee queries included: a query that
+   would start cold waits for the first solve on its instance, so the
+   batch makes exactly one cold solve per instance and planning window,
+   and the answers do not depend on the domain count (1, 2 or 8, all
+   untraced). *)
+let test_deferral_determinism () =
+  let q ?guarantee ~network ~k budget =
+    Serve.Server.query ?guarantee ~network ~k budget
+  in
+  let run domains =
+    let e1 = mk_env 101 and e2 = mk_env ~n:18 ~k:3 ~count:10 102 in
+    let t = server_of ~config:(config ~batch:16 ~domains ()) [ e1; e2 ] in
+    let b1 = 0.5 *. e1.full_mj and b2 = 0.4 *. e2.full_mj in
+    ignore (Serve.Server.run t [| q ~network:0 ~k:4 b1; q ~network:1 ~k:3 b2 |]);
+    let rng = Rng.create 103 in
+    List.iter
+      (fun (network, n, k, count) ->
+        let field =
+          Sampling.Field.random_gaussian rng ~n ~mean_lo:18. ~mean_hi:26.
+            ~sigma_lo:1. ~sigma_hi:4.
+        in
+        Serve.Server.update_window t ~network
+          (Sampling.Sample_set.draw rng field ~k ~count))
+      [ (0, 24, 4, 12); (1, 18, 3, 10) ];
+    Serve.Server.clear_trace t;
+    let g = (0.9, 0.5) in
+    let batch =
+      [|
+        q ~network:0 ~k:4 b1;
+        q ~network:1 ~k:3 b2;
+        q ~network:0 ~k:4 (0.8 *. b1);
+        q ~network:0 ~k:4 ~guarantee:g b1;
+        q ~network:0 ~k:4 (1.2 *. b1);
+        q ~network:1 ~k:3 (0.9 *. b2);
+        q ~network:0 ~k:3 b1;
+        q ~network:0 ~k:4 (0.8 *. b1);
+        q ~network:0 ~k:4 ~guarantee:g (1.1 *. b1);
+        q ~network:0 ~k:3 (1.1 *. b1);
+        q ~network:1 ~k:3 (1.3 *. b2);
+        q ~network:0 ~k:4 (0.6 *. b1);
+      |]
+    in
+    let outcomes = Serve.Server.run t batch in
+    (batch, (outcomes, Serve.Server.trace t, Serve.Server.stats t))
+  in
+  let batch, ((_, trace, _) as r1) = run 1 in
+  check_same_run r1 (snd (run 2));
+  check_same_run r1 (snd (run 8));
+  let colds = Hashtbl.create 8 in
+  List.iteri
+    (fun i (_, tag) ->
+      if String.equal tag "cold" then begin
+        let (qi : Serve.Server.query) = batch.(i) in
+        let slot =
+          Printf.sprintf "net %d k %d%s" qi.network qi.k
+            (if Option.is_some qi.guarantee then " ladder" else "")
+        in
+        Hashtbl.replace colds slot
+          (1 + Option.value (Hashtbl.find_opt colds slot) ~default:0)
+      end)
+    trace;
+  List.iter
+    (fun slot ->
+      Alcotest.(check (option int))
+        (slot ^ ": one cold solve") (Some 1)
+        (Hashtbl.find_opt colds slot))
+    [ "net 0 k 4"; "net 1 k 3"; "net 0 k 3"; "net 0 k 4 ladder" ];
+  Alcotest.(check int) "no other cold solve" 4 (Hashtbl.length colds);
+  Alcotest.(check (list string))
+    "tags"
+    [ "cold"; "cold"; "pool"; "cold"; "pool"; "pool"; "cold"; "coalesced";
+      "pool"; "pool"; "pool"; "pool" ]
+    (List.map snd trace)
 
 (* Guarantee targets are part of the exact identity bit for bit: targets
    one ulp apart in ε alone or δ alone, and "no target" against any
@@ -572,9 +740,11 @@ let test_seeded_workload_counters () =
   let check name expected actual = Alcotest.(check int) name expected actual in
   check "cache_hits" 90 s.cache_hits;
   check "cache_misses" 90 (s.range_hits + s.pool_hits + s.cold_misses);
+  (* one cold solve per tenant: the rest of its first batch waits for
+     that solve's basis *)
   check "range_hits" 0 s.range_hits;
-  check "pool_hits" 74 s.pool_hits;
-  check "cold_misses" 16 s.cold_misses;
+  check "pool_hits" 87 s.pool_hits;
+  check "cold_misses" 3 s.cold_misses;
   check "coalesced" 30 s.coalesced;
   check "evictions" 0 s.evictions;
   check "refused" 0 s.refused
@@ -627,6 +797,9 @@ let () =
           Alcotest.test_case "invalid queries refused" `Quick
             test_invalid_queries;
           Alcotest.test_case "window rotation" `Quick test_window_rotation;
+          Alcotest.test_case "warm tags ran warm" `Quick test_honest_sources;
+          Alcotest.test_case "warm tags without a cache" `Quick
+            test_honest_sources_uncached;
         ] );
       ( "determinism",
         [
@@ -635,6 +808,8 @@ let () =
           test_certified_serving_property ();
           Alcotest.test_case "seeded workload counters" `Quick
             test_seeded_workload_counters;
+          Alcotest.test_case "cold solves deferred within a batch" `Quick
+            test_deferral_determinism;
         ] );
       ( "performance",
         [
