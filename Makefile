@@ -49,7 +49,7 @@ churn:
 	CHURN_SUMMARY=$(CURDIR)/_churn_sweep.json \
 	  dune exec test/core/test_churn.exe
 
-# Walk every serving regime (cold / coalesced / cache / pool / certified
+# Walk every serving regime (cold / coalesced / cache / range / pool / certified
 # guarantee) on a tiny two-tenant server and print the stats and trace.
 serve-demo:
 	dune exec bin/serve_demo.exe

@@ -5,8 +5,11 @@
    Registers two sensor networks, then serves a short query stream that
    walks through each source the server distinguishes: a cold solve, an
    in-flight coalesced duplicate, an exact cache hit, a pooled warm start
-   at a perturbed budget, a certified (eps, delta) guarantee query and a
-   refused, unattainably tight one.  Finishes with the server's counters
+   at a perturbed budget, a certified (eps, delta) guarantee query, a
+   refused, unattainably tight one, and a budget inside a segment an
+   earlier solve left, served from its affine point with no simplex run
+   (checked on the call's trace: a certified [lp.affine] span and no
+   [lp.revised] one).  Finishes with the server's counters
    and the per-query trace.  Each query is labelled with the regime it is
    meant to show; the demo exits 1 when an answer does not match its
    label, so `dune runtest` runs it as a check. *)
@@ -104,13 +107,39 @@ let () =
             Format.printf "q%d REFUSED: %s [%s]@." (offset + i) reason verdict)
       outcomes
   in
+  let third_call =
+    [| (q ~network:0 (1.0199 *. b0), "range" (* inside q4's segment *)) |]
+  in
   serve 0 first_call;
   serve (Array.length first_call) second_call;
+  let sink = Obs.Trace.create () in
+  Obs.Trace.install (Some sink);
+  Fun.protect
+    ~finally:(fun () -> Obs.Trace.install None)
+    (fun () -> serve (Array.length first_call + Array.length second_call) third_call);
+  let spans name = List.filter (fun (e : Obs.Trace.event) -> String.equal e.name name) (Obs.Trace.events sink) in
+  let simplex_runs = List.length (spans "lp.revised") in
+  let certified_affine =
+    List.length
+      (List.filter
+         (fun e ->
+           match Obs.Trace.find_attr e "certified" with
+           | Some (Obs.Trace.Bool b) -> b
+           | _ -> false)
+         (spans "lp.affine"))
+  in
+  Format.printf "range answer: %d simplex run(s), %d certified affine point(s)@."
+    simplex_runs certified_affine;
+  if simplex_runs <> 0 || certified_affine <> 1 then begin
+    incr mismatches;
+    Format.printf "MISMATCH: a range answer must run no simplex@."
+  end;
   let s = Serve.Server.stats server in
   Format.printf
-    "@.stats: %d queries in %d batches | cache %d, pool %d, cold %d, \
+    "@.stats: %d queries in %d batches | cache %d, range %d, pool %d, cold %d, \
      coalesced %d, refused %d | %d solves@."
-    s.queries s.batches s.cache_hits s.pool_hits s.cold_misses s.coalesced
+    s.queries s.batches s.cache_hits s.range_hits s.pool_hits s.cold_misses
+    s.coalesced
     s.refused s.solves;
   Format.printf "trace:@.";
   List.iter

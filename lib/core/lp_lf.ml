@@ -8,6 +8,7 @@ type result = {
   provenance : Robust_plan.provenance;
   certify : Lp.Certify.report option;
   guarantee : Guarantee.t option;
+  lp_budget : float;
 }
 
 let check_alive who topo alive =
@@ -213,13 +214,39 @@ let traced_plan ~topo ~budget ~k f =
     r
   end
 
+(* A certified LP solution at [budget] as a planner result: the
+   bandwidth columns rounded to a plan, the budget row's dual. *)
+let of_solution inst ~budget (sol : Lp.Model.solution) ~provenance ~report =
+  let topo = inst.topo in
+  let n = topo.Sensor.Topology.n and root = topo.Sensor.Topology.root in
+  let fractional = Array.make n 0. in
+  for i = 0 to n - 1 do
+    if i <> root then fractional.(i) <- sol.Lp.Model.values.(inst.b_cols.(i))
+  done;
+  let budget_shadow_price =
+    match sol.Lp.Model.row_duals with
+    | Some duals -> duals.(inst.budget_row)
+    | None -> 0.
+  in
+  {
+    plan = Plan.of_fractional topo fractional;
+    lp_objective = sol.Lp.Model.objective;
+    lp_stats = sol.Lp.Model.stats;
+    fractional;
+    budget_shadow_price;
+    basis = sol.Lp.Model.basis;
+    provenance;
+    certify = Some report;
+    guarantee = None;
+    lp_budget = budget;
+  }
+
 let solve_lp ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline inst
     ~budget =
   let topo = inst.topo and cost = inst.cost and samples = inst.samples in
   traced_plan ~topo ~budget ~k:inst.k @@ fun () ->
   let problem = patched ~who ?alive inst ~budget in
   let n = topo.Sensor.Topology.n in
-  let root = topo.Sensor.Topology.root in
   match
     Robust_plan.solve ?warm_start ?max_iterations:max_lp_iterations
       ?deadline:lp_deadline ~problem inst.model
@@ -251,29 +278,32 @@ let solve_lp ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline inst
         provenance = Robust_plan.Fell_back_greedy;
         certify = None;
         guarantee = None;
+        lp_budget = budget;
       }
   | Ok r ->
-  let sol = r.Robust_plan.solution in
-  let fractional = Array.make n 0. in
-  for i = 0 to n - 1 do
-    if i <> root then fractional.(i) <- sol.Lp.Model.values.(inst.b_cols.(i))
-  done;
-  let budget_shadow_price =
-    match sol.Lp.Model.row_duals with
-    | Some duals -> duals.(inst.budget_row)
-    | None -> 0.
-  in
-  {
-    plan = Plan.of_fractional topo fractional;
-    lp_objective = sol.Lp.Model.objective;
-    lp_stats = sol.Lp.Model.stats;
-    fractional;
-    budget_shadow_price;
-    basis = sol.Lp.Model.basis;
-    provenance = r.Robust_plan.provenance;
-    certify = Some r.Robust_plan.report;
-    guarantee = None;
-  }
+      of_solution inst ~budget r.Robust_plan.solution
+        ~provenance:r.Robust_plan.provenance ~report:r.Robust_plan.report
+
+(* ---- budget segments ---- *)
+
+let segment inst (r : result) =
+  match (r.provenance, r.basis) with
+  | Robust_plan.Certified_revised, Some token ->
+      Lp.Model.range
+        ~problem:(patched ~who:"Lp_lf.segment" inst ~budget:r.lp_budget)
+        inst.model token ~row:inst.budget_row
+  | _ -> None
+
+let solve_segment inst seg ~budget =
+  let who = "Lp_lf.solve_segment" in
+  Greedy.check_budget who budget;
+  let problem = patched ~who inst ~budget in
+  match Lp.Model.affine_certified ~problem inst.model seg with
+  | Error _ -> None
+  | Ok (sol, report) ->
+      Some
+        (of_solution inst ~budget sol ~provenance:Robust_plan.Certified_revised
+           ~report)
 
 (* The LP depends on a window only through its ones. *)
 let same_ones (a : Sampling.Sample_set.t) (b : Sampling.Sample_set.t) =

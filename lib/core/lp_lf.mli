@@ -36,6 +36,10 @@ type result = {
   guarantee : Guarantee.t option;
       (** the certified (ε, δ) bound attached to the plan; present exactly
           when the [?guarantee] target was supplied *)
+  lp_budget : float;
+      (** the budget the LP behind [plan] (and [basis]) was solved at: the
+          requested budget, except for a guarantee ladder that escalated,
+          where it is the chosen rung's *)
 }
 
 val plan :
@@ -140,3 +144,30 @@ val lp_model :
 (** The LP+LF relaxation as a bare {!Lp.Model.t}, without solving or
     rounding — for benchmarks and diagnostics (e.g. measuring certification
     overhead on the exact model the planner solves). *)
+
+(** {1 Budget segments}
+
+    A certified optimal basis stays optimal on a whole interval of
+    budgets: dual feasibility does not depend on the budget row's
+    right-hand side, and the basic solution is affine in it
+    ({!Lp.Ranging}).  An {!Lp.Model.segment} is that basis with its exact
+    interval ({!Lp.Model.segment_bounds}); {!solve_segment} serves any
+    budget in it from the affine point, certified, with no model build,
+    no factorization and no pivot. *)
+
+val segment : instance -> result -> Lp.Model.segment option
+(** The budget segment of a plain (full-window, everyone-alive) result's
+    basis on this instance, ranged at the result's [lp_budget]: one
+    FTRAN through the token's factor cell (factoring and filling it when
+    empty, which a later warm start from the token reuses) and a ratio
+    test.  [None] for a result that did not come from a certified
+    revised basis, or whose basis does not range. *)
+
+val solve_segment : instance -> Lp.Model.segment -> budget:float -> result option
+(** The plan at [budget] from the segment's affine point: [Some] a result
+    as {!solve} returns it (same rounding and fields; [lp_stats = None]
+    since no simplex ran, [basis] the segment's token, provenance
+    [Certified_revised]: the revised basis's point, certified at
+    [budget]) when {!Lp.Certify.certify_optimal} accepts the point
+    against the LP patched at [budget]; [None] otherwise — the caller
+    then re-solves warm from {!Lp.Model.segment_basis}. *)

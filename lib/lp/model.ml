@@ -421,6 +421,55 @@ let solve ?max_iterations ?deadline ?bland_after ?warm_start t =
   in
   sol
 
+(* ---- budget segments ---- *)
+
+type segment = { token : basis; ranging : Ranging.t }
+
+let range ?problem t token ~row =
+  let prob = lowered ?problem t in
+  if not (basis_compatible t token) then None
+  else
+    Option.map
+      (fun ranging -> { token; ranging })
+      (Ranging.compute ~cell:token.cell prob token.rb ~row)
+
+let segment_bounds s = (Ranging.lo s.ranging, Ranging.hi s.ranging)
+
+let segment_basis s = s.token
+
+let affine_certified ?problem t s =
+  let prob = lowered ?problem t in
+  let t0 = if Obs.Trace.active () then Obs.Trace.now () else 0. in
+  let x = Ranging.affine s.ranging ~budget:prob.Problem.rhs.(Ranging.row s.ranging) in
+  let report = Certify.certify_optimal prob ~x ~duals:(Ranging.duals s.ranging) in
+  if Obs.Trace.active () then begin
+    Obs.Trace.emit Obs.Trace.Solve ~name:"lp.affine" ~start_s:t0
+      ~dur_s:(Obs.Trace.now () -. t0)
+      [
+        ("rows", Obs.Trace.Int prob.Problem.nrows);
+        ("budget", Obs.Trace.Float prob.Problem.rhs.(Ranging.row s.ranging));
+        ("lo", Obs.Trace.Float (Ranging.lo s.ranging));
+        ("hi", Obs.Trace.Float (Ranging.hi s.ranging));
+        ("certified", Obs.Trace.Bool report.Certify.certified);
+        ("primal_residual", Obs.Trace.Float report.Certify.primal_residual);
+        ("duality_gap", Obs.Trace.Float report.Certify.duality_gap);
+      ]
+  end;
+  if not report.Certify.certified then Error report
+  else
+    let sign = match t.dir with Minimize -> 1. | Maximize -> -1. in
+    let values = Array.sub x 0 t.nvars in
+    Ok
+      ( {
+          status = Optimal;
+          objective = objective_of t values;
+          values;
+          stats = None;
+          row_duals = Some (Array.map (fun y -> sign *. y) (Ranging.duals s.ranging));
+          basis = Some s.token;
+        },
+        report )
+
 (* ---- certified solves ---- *)
 
 let solve_certified ?max_iterations ?deadline ?bland_after ?warm_start

@@ -147,6 +147,44 @@ val solve_certified :
     certification both use it.
     @raise Invalid_argument when its dimensions do not match the model. *)
 
+(** {1 Budget segments}
+
+    One certified optimal basis answers a whole interval of one row's
+    right-hand side (see {!Ranging}): a {!segment} is a warm-start token
+    with that interval, and {!affine_certified} serves any right-hand
+    side in it with no simplex run — no factorization and no pivot, one
+    affine point and its certification. *)
+
+type segment
+
+val range : ?problem:Problem.t -> t -> basis -> row:int -> segment option
+(** Range constraint [row] on the token's basis at [problem]'s
+    right-hand side (default: the model's lowering; [problem] is as for
+    {!solve_certified}).  Uses and fills the token's factor cell, so a
+    later warm start from the token does not factor again.  [None] when
+    the token does not fit, its basis is singular, or its basic solution
+    is infeasible there. *)
+
+val segment_bounds : segment -> float * float
+(** The closed interval of the row's right-hand side on which the
+    segment's basis stays primal feasible. *)
+
+val segment_basis : segment -> basis
+(** The segment's warm-start token. *)
+
+val affine_certified :
+  ?problem:Problem.t ->
+  t ->
+  segment ->
+  (solution * Certify.report, Certify.report) result
+(** The segment's affine point at [problem]'s right-hand side of the
+    ranged row ([problem] as for {!solve_certified}), with the segment's
+    duals, checked by {!Certify.certify_optimal} against [problem]:
+    [Ok] an optimal solution (no [stats]: no simplex ran; [basis] is the
+    segment's token) and its report, or [Error] the failing report.  A
+    right-hand side outside {!segment_bounds} fails unless within the
+    certifier's tolerance.  Emits an [lp.affine] [Solve] span. *)
+
 val solve_dense_certified :
   ?max_pivots:int -> ?problem:Problem.t -> t -> solution * Certify.report
 (** Solve with the dense reference tableau and certify what it can claim:

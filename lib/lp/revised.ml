@@ -1440,3 +1440,11 @@ let solve ?max_iterations ?deadline ?feas_tol ?opt_tol ?refactor_interval
   fst
     (solve_factored ?max_iterations ?deadline ?feas_tol ?opt_tol
        ?refactor_interval ?bland_after ?basis prob)
+
+let cell_factor cell bcols =
+  match Atomic.get cell with
+  | Some f when same_cols f.f_cols bcols -> f.f_lu
+  | _ ->
+      let lu = Lu.factor ~dim:(Array.length bcols) bcols in
+      ignore (Atomic.compare_and_set cell None (Some { f_cols = bcols; f_lu = lu }));
+      lu

@@ -138,3 +138,11 @@ val solve_factored :
     refactorization as the last step), and empty otherwise.  The
     [lp.revised] trace span's [factor_reused] attribute says whether the
     cell's factors were used. *)
+
+val cell_factor : factor_cell -> Sparse_vec.t array -> Lu.t
+(** [cell_factor cell bcols]: the cell's factors when they were computed
+    from exactly these basis columns (bit for bit), else a fresh
+    factorization of [bcols], which also fills the cell if it is still
+    empty — the same rule a warm start from the cell's basis applies, so
+    that warm start reuses what this call factored.
+    @raise Lu.Singular when the columns are singular. *)

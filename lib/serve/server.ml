@@ -23,10 +23,11 @@ let default_config =
    LP it is handed to; a window refresh drops the whole record. *)
 type instance = {
   lp : Prospector.Lp_lf.instance;
-  mutable range : (Lp.Model.basis * float * float) option;
-      (* the latest full-window basis and the closed budget interval on
-         which it is certified optimal (see [deposit]) *)
-  ladder : Basis_pool.t;  (* the guarantee ladder's planning-window bases *)
+  segments : Lp.Model.segment Segment_set.t;
+      (* full-window bases with the budget interval each is optimal on *)
+  ladder : Lp.Model.basis Segment_set.t;
+      (* the guarantee ladder's planning-window bases, each at the budget
+         it was solved at *)
 }
 
 type network = {
@@ -166,8 +167,8 @@ let instance_for_k t net ~k =
       let inst =
         {
           lp = Prospector.Lp_lf.instance net.topo net.cost samples ~k;
-          range = None;
-          ladder = Basis_pool.create ~capacity:t.config.pool_capacity;
+          segments = Segment_set.create ~capacity:t.config.pool_capacity;
+          ladder = Segment_set.create ~capacity:t.config.pool_capacity;
         }
       in
       Hashtbl.replace net.insts k inst;
@@ -176,15 +177,20 @@ let instance_for_k t net ~k =
 (* ------------------------------------------------------------------ *)
 (* Admission                                                           *)
 
+(* Where a task's plan comes from. *)
+type start =
+  | Affine of Lp.Model.segment
+      (* the budget lies in this segment: its affine point, certified;
+         a point that fails certification is re-solved warm from the
+         segment's basis *)
+  | Warm of Lp.Model.basis
+  | Scratch
+
 type task = {
   fp : Fingerprint.t;
   t_query : query;
   t_inst : instance;
-  t_source : source;  (* Range_hit | Pool_warm | Cold *)
-  warm : Lp.Model.basis option;
-  (* the warm token is the instance's range basis: a certified 0-pivot
-     re-solve then extends the certified range (see [deposit]) *)
-  t_range_warm : bool;
+  start : start;
 }
 
 type decision =
@@ -216,40 +222,34 @@ let warm_start inst (q : query) =
   match q.guarantee with
   | Some _ -> (
       (* the ladder plans on its own window and escalates the budget rung
-         by rung, so the certified range does not apply; its first rung
-         starts from the ladder pool *)
-      match Basis_pool.lookup inst.ladder ~budget:q.budget with
-      | Some b -> (Pool_warm, Some b, false)
-      | None -> (Cold, None, false))
+         by rung, so the full-window segments do not apply; its first
+         rung starts from the ladder pool *)
+      match Segment_set.lookup inst.ladder ~budget:q.budget with
+      | Segment_set.Containing b | Segment_set.Nearest b -> Warm b
+      | Segment_set.Empty -> Scratch)
   | None -> (
-      match inst.range with
-      | Some (b, lo, hi) when q.budget >= lo && q.budget <= hi ->
-          (Range_hit, Some b, true)
-      | Some (b, _, _) ->
-          (* outside the certified range: still warm from the range basis
-             — a certified 0-pivot re-solve is exactly the evidence that
-             lets the commit widen the range to here *)
-          (Pool_warm, Some b, true)
-      | None -> (Cold, None, false))
+      match Segment_set.lookup inst.segments ~budget:q.budget with
+      | Segment_set.Containing seg -> Affine seg
+      | Segment_set.Nearest seg -> Warm (Lp.Model.segment_basis seg)
+      | Segment_set.Empty -> Scratch)
 
-(* Whether a committed task leaves a basis that a query like [q] would
-   start from: the ladder pool for a guarantee query, the range for a
-   plain one.  With both capacities at 0 the server keeps no warm state
-   at all (the cold baseline). *)
-let keeps_basis t (q : query) =
-  t.config.pool_capacity > 0
-  || (Option.is_none q.guarantee && t.config.cache_capacity > 0)
+(* Whether a committed task leaves warm state behind: a segment for a
+   plain query, a ladder basis for a guarantee one.  With [pool_capacity]
+   at 0 the server keeps none (the cold baseline). *)
+let keeps_warm_state t = t.config.pool_capacity > 0
 
 (* Decide one pass over the [pending] queries of a batch sequentially:
    every cache, pool, coalescing and deferral choice is made here, on the
    coordinator, before any solve runs.  A query that would start cold on
    an instance whose warm state a task of this pass is about to fill
-   waits for the next pass instead. *)
+   waits for the next pass instead, and so does a plain query that would
+   start warm: the segment that task leaves may hold its budget. *)
 let admit t queries pending =
   let tasks = ref [] in
   let ntasks = ref 0 in
   let leaders = Hashtbl.create 16 in
-  (* (instance, guarantee?) of every task in this pass *)
+  (* (instance, guarantee?) of every task in this pass that leaves warm
+     state *)
   let filling = ref [] in
   let decide q =
     match validate t q with
@@ -272,20 +272,24 @@ let admit t queries pending =
             | None ->
                 let inst = instance_for_k t net ~k:q.k in
                 let g = Option.is_some q.guarantee in
-                let t_source, warm, t_range_warm = warm_start inst q in
-                let cold = match t_source with Cold -> true | _ -> false in
+                let start = warm_start inst q in
+                let waits =
+                  match start with Scratch -> true | Warm _ -> not g | Affine _ -> false
+                in
                 let filled =
                   List.exists (fun (i, g') -> i == inst && Bool.equal g g') !filling
                 in
-                if cold && filled && keeps_basis t q then D_defer
+                if waits && filled && keeps_warm_state t then D_defer
                 else begin
                   let i = !ntasks in
                   ntasks := i + 1;
                   Hashtbl.replace leaders key i;
-                  filling := (inst, g) :: !filling;
-                  tasks :=
-                    { fp; t_query = q; t_inst = inst; t_source; warm; t_range_warm }
-                    :: !tasks;
+                  (* an affine task leaves no warm state (unless its point
+                     fails certification), so nothing waits for it *)
+                  (match start with
+                  | Warm _ | Scratch -> filling := (inst, g) :: !filling
+                  | Affine _ -> ());
+                  tasks := { fp; t_query = q; t_inst = inst; start } :: !tasks;
                   D_task i
                 end))
   in
@@ -300,23 +304,56 @@ let effective_domains t ntasks =
   if Obs.Trace.active () then 1
   else Int.max 1 (Int.min t.config.domains ntasks)
 
+(* What a task computed: the planner result, the source it really came
+   from (an affine point that fails certification is re-solved warm), and
+   the segment its basis leaves for the instance. *)
+type solved = {
+  res : (Prospector.Lp_lf.result, string) result;
+  source : source;
+  seg : Lp.Model.segment option;
+  dt : float;
+}
+
+(* One task, on a worker: the solve and, for a plain query that leaves
+   warm state, the ranging of its basis. *)
+let solve_task t task =
+  let lp = task.t_inst.lp and q = task.t_query in
+  let solve ?warm_start () =
+    Prospector.Lp_lf.solve ?warm_start
+      ?max_lp_iterations:t.config.max_lp_iterations
+      ?lp_deadline:t.config.lp_deadline ?guarantee:q.guarantee lp
+      ~budget:q.budget
+  in
+  let res, source =
+    match task.start with
+    | Affine seg -> (
+        match Prospector.Lp_lf.solve_segment lp seg ~budget:q.budget with
+        | Some r -> (r, Range_hit)
+        | None -> (solve ~warm_start:(Lp.Model.segment_basis seg) (), Pool_warm))
+    | Warm b -> (solve ~warm_start:b (), Pool_warm)
+    | Scratch -> (solve (), Cold)
+  in
+  let seg =
+    match source with
+    | (Pool_warm | Cold) when Option.is_none q.guarantee && keeps_warm_state t ->
+        Prospector.Lp_lf.segment lp res
+    | _ -> None
+  in
+  (res, source, seg)
+
 let run_tasks t tasks =
   let ntasks = Array.length tasks in
   let results = Array.make ntasks None in
   let run_one slot i =
     let task = tasks.(i) in
     let t0 = Obs.Trace.now () in
-    let r =
-      try
-        Ok
-          (Prospector.Lp_lf.solve ?warm_start:task.warm
-             ?max_lp_iterations:t.config.max_lp_iterations
-             ?lp_deadline:t.config.lp_deadline ?guarantee:task.t_query.guarantee
-             task.t_inst.lp ~budget:task.t_query.budget)
-      with e -> Error (Printexc.to_string e)
+    let res, source, seg =
+      match solve_task t task with
+      | res, source, seg -> (Ok res, source, seg)
+      | exception e -> (Error (Printexc.to_string e), Cold, None)
     in
     let dt = Obs.Trace.now () -. t0 in
-    results.(i) <- Some (r, dt);
+    results.(i) <- Some { res; source; seg; dt };
     let a = t.arenas.(slot) in
     a.a_solves <- a.a_solves + 1;
     a.a_busy <- a.a_busy +. dt
@@ -352,49 +389,31 @@ let run_tasks t tasks =
 (* ------------------------------------------------------------------ *)
 (* Commit                                                              *)
 
-(* Keep a certified solve's final basis in its instance's warm state.  A
-   guarantee solve's basis belongs to the ladder's planning window and
-   goes to the ladder pool.  A full-window basis becomes the range basis
-   (unless the server keeps no warm state): the range is extended
-   exactly when this was a certified 0-pivot warm re-solve from the
-   range basis itself.  That is sound by LP convexity:
-   dual feasibility of a basis does not depend on the budget row's
-   right-hand side and the basic solution is affine in it, so a basis
-   primal feasible at two budgets is optimal on the whole interval
-   between them.  Any other solve collapses the range to its own
-   budget. *)
-let deposit t task (res : Prospector.Lp_lf.result) basis =
-  let inst = task.t_inst and budget = task.t_query.budget in
+(* Keep a certified solve's warm state on its instance: a plain solve's
+   segment (computed on the worker), a guarantee solve's final basis in
+   the ladder pool under the budget of the rung it was solved at. *)
+let deposit task (res : Prospector.Lp_lf.result) seg =
+  let inst = task.t_inst in
   match task.t_query.guarantee with
-  | Some _ -> Basis_pool.insert inst.ladder ~budget basis
+  | Some _ ->
+      let b = res.lp_budget in
+      Option.iter (Segment_set.insert inst.ladder ~lo:b ~hi:b) res.basis
   | None ->
-      if keeps_basis t task.t_query then
-        let zero_pivots =
-          match res.lp_stats with
-          | Some s -> s.Lp.Revised.iterations = 0
-          | None -> false
-        in
-        let extend =
-          match res.provenance with
-          | Prospector.Robust_plan.Certified_revised ->
-              task.t_range_warm && zero_pivots
-          | _ -> false
-        in
-        inst.range <-
-          (match inst.range with
-          | Some (_, lo, hi) when extend ->
-              Some (basis, Float.min lo budget, Float.max hi budget)
-          | _ -> Some (basis, budget, budget))
+      Option.iter
+        (fun s ->
+          let lo, hi = Lp.Model.segment_bounds s in
+          Segment_set.insert inst.segments ~lo ~hi s)
+        seg
 
-let commit_task t task (result, dt) =
-  match result with
+let commit_task t task { res; source; seg; dt } =
+  match res with
   | Error msg -> Refused ("planner-exception: " ^ msg)
   | Ok (res : Prospector.Lp_lf.result) -> (
       match (res.certify, res.provenance) with
       | None, _ | _, Prospector.Robust_plan.Fell_back_greedy ->
           Refused "uncertified: no LP stage passed certification"
       | Some report, provenance -> (
-          Option.iter (deposit t task res) res.basis;
+          deposit task res seg;
           let serve guarantee =
             let resp =
               {
@@ -403,7 +422,7 @@ let commit_task t task (result, dt) =
                 provenance;
                 certify = report;
                 guarantee;
-                source = task.t_source;
+                source;
                 coalesced = false;
                 solve_ms = dt *. 1000.;
                 budget = task.t_query.budget;
@@ -530,3 +549,15 @@ let trace t = List.rev t.trace_rev
 let clear_trace t = t.trace_rev <- []
 
 let arena_stats t = Array.map (fun a -> (a.a_solves, a.a_busy)) t.arenas
+
+type warm_state = { segments : (float * float) list; ladder_budgets : float list }
+
+let warm_state t ~network ~k =
+  Option.bind (Hashtbl.find_opt t.networks network) (fun net ->
+      Option.map
+        (fun (inst : instance) ->
+          {
+            segments = Segment_set.bounds inst.segments;
+            ladder_budgets = List.map fst (Segment_set.bounds inst.ladder);
+          })
+        (Hashtbl.find_opt net.insts k))

@@ -6,9 +6,11 @@
     submit streams of top-k queries against them; the server admits
     queries in deterministic batches, canonicalizes each to a
     {!Fingerprint}, coalesces duplicates in flight, serves repeats from a
-    {!Plan_cache}, warm-starts misses from their LP instance's own warm
-    state (a certified budget range and {!Basis_pool}s), and fans the
-    remaining LP solves across OCaml 5 domains.
+    {!Plan_cache}, serves a budget that an LP instance's certified
+    budget segments ({!Segment_set}) already cover from an affine point,
+    warm-starts other misses from the instance's nearest segment or
+    guarantee-ladder basis, and fans the remaining work across
+    OCaml 5 domains.
 
     {b Certification discipline}: an uncertified plan is never served.
     Every {!Served} response carries the PR-3 certification report that
@@ -21,16 +23,19 @@
     {b Warm state}: an LP+LF program's rows and columns follow its
     window's ones, so a basis is only a warm start for the LP it was
     computed on.  The server keeps, per (network, window version, [k])
-    instance, the latest full-window basis with the closed budget
-    interval on which it is certified optimal (extended only by a
-    certified 0-pivot warm re-solve from that basis: dual feasibility
-    does not depend on the budget and the basic solution is affine in
-    it) and a pool of the guarantee ladder's planning-window bases.  Both
-    go with the instance when the window is refreshed.  Within a batch, a
+    instance, up to [pool_capacity] budget segments — certified optimal
+    full-window bases, each with the exact budget interval on which it
+    stays optimal, found by ranging the budget row on the worker that
+    solved it (dual feasibility does not depend on the budget and the
+    basic solution is affine in it) — and up to [pool_capacity] of the
+    guarantee ladder's planning-window bases, both in a
+    {!Segment_set} (least recently used evicted).  Both go with the instance
+    when the window is refreshed.  Within a batch, a
     query that would start cold on an instance that already has a solve
     in flight waits for that solve to commit and then starts from its
     basis, so a refreshed window or a new [k] costs one cold solve per
-    batch.
+    batch; a plain query that would start warm waits the same way, since
+    the segment that solve leaves may contain its budget.
 
     {b Determinism}: all admission, cache, pool, coalescing and deferral
     decisions happen on the coordinating domain between fan-out barriers,
@@ -60,9 +65,9 @@ type config = {
   cache_capacity : int;
       (** exact plan-cache entries; 0 disables the cache *)
   pool_capacity : int;
-      (** guarantee-ladder bases kept per instance; 0 disables the ladder
-          pool.  The certified range is kept while either capacity is
-          positive; with both at 0 the server keeps no warm state. *)
+      (** budget segments, and guarantee-ladder bases, kept per instance
+          (each bounded by it); 0 keeps no warm state: every miss is
+          solved cold. *)
   batch : int;  (** admission batch size *)
   domains : int;
       (** worker domains for miss fan-out (>= 1); 1 while an [Obs.Trace]
@@ -108,14 +113,17 @@ val query : ?guarantee:float * float -> network:int -> k:int -> float -> query
 type source =
   | Cache_hit  (** exact fingerprint: no model build, no solve *)
   | Range_hit
-      (** budget inside the instance's certified range: warm re-solve
-          from the range basis (usually 0 pivots) + certify *)
+      (** budget inside one of the instance's budget segments: the
+          segment's affine point at this budget, certified optimal
+          against the LP patched at it — no model build, no
+          factorization, no pivot *)
   | Pool_warm
-      (** miss warm-started from a basis of the same instance: the range
-          basis when the budget falls outside the certified range (a
-          certified 0-pivot re-solve then widens the range to cover it);
-          for a guarantee query, the ladder's first rung starts from the
-          nearest-budget basis of the ladder pool *)
+      (** miss warm-started from a basis of the same instance: the basis
+          of the segment nearest to the budget (also when a segment's
+          affine point failed certification: then that segment's basis),
+          whose solve leaves a new segment; for a guarantee query, the
+          ladder's first rung starts from the ladder pool's basis solved
+          at the nearest budget *)
   | Cold  (** miss solved from scratch *)
 
 val source_to_string : source -> string
@@ -165,6 +173,19 @@ val trace : t -> (string * string) list
     ["coalesced"], ["refused"]. *)
 
 val clear_trace : t -> unit
+
+type warm_state = {
+  segments : (float * float) list;
+      (** the budget intervals of the instance's segments, in budget
+          order; at most [pool_capacity] *)
+  ladder_budgets : float list;
+      (** the budgets the ladder pool's bases were solved at (the chosen
+          rung's, for a ladder that escalated), ascending *)
+}
+
+val warm_state : t -> network:int -> k:int -> warm_state option
+(** The warm state of the current window's instance for [k], if a query
+    has built it. *)
 
 val arena_stats : t -> (int * float) array
 (** Per-domain-slot solver-arena rollup: (solves executed, busy seconds),

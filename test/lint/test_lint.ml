@@ -110,6 +110,12 @@ let test_r6_handbuilt () =
     [ ("R6", 17) ]
     (lint ~logical:"lib/lintfix/r6_handbuilt.ml" "r6_handbuilt.ml")
 
+let test_r6_affine_response () =
+  check_hits "a raw affine point reaching a Server response fires; its \
+              certified form does not"
+    [ ("R6", 26) ]
+    (lint ~logical:"lib/lintfix/r6_affine_response.ml" "r6_affine_response.ml")
+
 let test_r6_zone () =
   check_hits "R6 is off in test/ (tests hand-build plans on purpose)" []
     (lint ~logical:"test/core/r6_raw_replan.ml" "r6_raw_replan.ml")
@@ -245,6 +251,8 @@ let () =
           Alcotest.test_case "R6 certified clean" `Quick
             test_r6_certified_clean;
           Alcotest.test_case "R6 hand-built record" `Quick test_r6_handbuilt;
+          Alcotest.test_case "R6 affine point to a response" `Quick
+            test_r6_affine_response;
           Alcotest.test_case "R6 zone" `Quick test_r6_zone;
           Alcotest.test_case "R6 cross-module" `Quick test_r6_cross_module;
           Alcotest.test_case "R6 allow scopes" `Quick test_r6_allow_scopes;

@@ -5,8 +5,8 @@
    outcomes and bit-identical cache hit/miss traces, because every cache,
    pool and coalescing decision is made sequentially on the coordinator
    and solves are pure functions of coordinator-chosen inputs.  Around it:
-   source classification (cold / cache / pool / range), budget-range
-   growth through certified 0-pivot re-solves, LRU and pool determinism,
+   source classification (cold / cache / pool / range), budget segments
+   growing as warm solves leave new ones, LRU and pool determinism,
    the certification discipline (crippled solvers and unattainable
    guarantee targets are refused, never served), and window rotation. *)
 
@@ -69,21 +69,21 @@ let test_sources_and_coalescing () =
   let b = 0.5 *. e.full_mj in
   let q budget = Serve.Server.query ~network:0 ~k:4 budget in
   (* one batch: leader + coalesced follower + a distinct query on the
-     same instance, which waits for the leader's basis and starts warm *)
+     same instance, which waits for the leader's segment: 0.9b lies in
+     it, so it is served from the segment's affine point *)
   let out = Serve.Server.run t [| q b; q b; q (0.9 *. b) |] in
   (* a coalesced follower reports its leader's source; only the trace tag
      and the [coalesced] flag say it rode along *)
   Alcotest.(check (list string))
-    "first batch sources" [ "cold"; "cold"; "pool" ]
+    "first batch sources" [ "cold"; "cold"; "range" ]
     (Array.to_list (Array.map source out));
   let r0 = served out.(0) and r1 = served out.(1) in
   Alcotest.(check bool) "leader not coalesced" false r0.coalesced;
   Alcotest.(check bool) "follower coalesced" true r1.coalesced;
   Alcotest.(check bool) "certified" true r0.certify.Lp.Certify.certified;
   Alcotest.(check (float 0.)) "follower shares the plan" r0.objective r1.objective;
-  (* second call: exact repeat hits the cache; the warm 0.9b re-solve
-     kept the leader's basis (0 pivots), so the range now covers
-     [0.9b, b] and a budget inside it is a range hit *)
+  (* second call: exact repeat hits the cache; the leader's segment
+     covers [0.9b, b], so a budget inside it is a range hit *)
   let out2 = Serve.Server.run t [| q b; q (0.95 *. b) |] in
   Alcotest.(check string) "exact repeat" "cache" (source out2.(0));
   Alcotest.(check string) "budget inside the range" "range" (source out2.(1));
@@ -93,15 +93,15 @@ let test_sources_and_coalescing () =
   Alcotest.(check int) "queries" 5 s.queries;
   Alcotest.(check int) "cache hits" 1 s.cache_hits;
   Alcotest.(check int) "coalesced" 1 s.coalesced;
-  Alcotest.(check int) "pool hits" 1 s.pool_hits;
-  Alcotest.(check int) "range hits" 1 s.range_hits;
+  Alcotest.(check int) "pool hits" 0 s.pool_hits;
+  Alcotest.(check int) "range hits" 2 s.range_hits;
   Alcotest.(check int) "cold misses" 1 s.cold_misses;
   Alcotest.(check int) "solves = tasks" 3 s.solves;
   let trace = Serve.Server.trace t in
   Alcotest.(check int) "one trace entry per query" 5 (List.length trace);
   Alcotest.(check (list string))
     "trace tags"
-    [ "cold"; "coalesced"; "pool"; "cache"; "range" ]
+    [ "cold"; "coalesced"; "range"; "cache"; "range" ]
     (List.map snd trace);
   (* arena accounting: single domain, every solve on slot 0 *)
   let arenas = Serve.Server.arena_stats t in
@@ -112,21 +112,40 @@ let test_range_growth () =
   let t = server_of [ e ] in
   let b = 0.5 *. e.full_mj in
   let q budget = Serve.Server.query ~network:0 ~k:4 budget in
-  (* anchor the family at b, then nudge the budget: the warm re-solve from
-     the family basis should finish in 0 pivots (the basis stays optimal
-     under a small RHS change) and widen the range to the hull *)
+  let segments () =
+    match Serve.Server.warm_state t ~network:0 ~k:4 with
+    | Some w -> w.segments
+    | None -> Alcotest.fail "no instance"
+  in
+  (* the cold solve at b leaves one segment, which holds b *)
   ignore (Serve.Server.run t [| q b |]);
-  let out1 = Serve.Server.run t [| q (1.001 *. b) |] in
-  Alcotest.(check string) "nudge warms from family" "pool" (source out1.(0));
-  let out2 = Serve.Server.run t [| q (1.0005 *. b) |] in
-  Alcotest.(check string)
-    "midpoint budget is a range hit" "range" (source out2.(0));
-  let r = served out2.(0) in
+  let lo, hi =
+    match segments () with
+    | [ s ] -> s
+    | l -> Alcotest.failf "%d segments after one solve" (List.length l)
+  in
+  Alcotest.(check bool) "segment holds its anchor" true (lo <= b && b <= hi);
+  (* any budget inside it is a range hit, certified at its own budget *)
+  let mid = if hi < infinity then 0.5 *. (b +. hi) else 1.001 *. b in
+  let out1 = Serve.Server.run t [| q mid |] in
+  Alcotest.(check string) "budget inside the segment" "range" (source out1.(0));
+  let r = served out1.(0) in
   Alcotest.(check bool) "range hit certified" true
     r.certify.Lp.Certify.certified;
-  Alcotest.(check (float 0.)) "served at its own budget" (1.0005 *. b) r.budget;
+  Alcotest.(check (float 0.)) "served at its own budget" mid r.budget;
+  Alcotest.(check (list (pair (float 0.) (float 0.))))
+    "a range hit leaves no segment" [ (lo, hi) ] (segments ());
+  (* a budget just above it starts warm from its basis and leaves a
+     second segment, which then serves that budget *)
+  let above = Float.succ hi *. 1.05 in
+  let out2 = Serve.Server.run t [| q above |] in
+  Alcotest.(check string) "budget outside warms from the segment" "pool"
+    (source out2.(0));
+  Alcotest.(check int) "two segments" 2 (List.length (segments ()));
+  let out3 = Serve.Server.run t [| q (Float.succ above) |] in
+  Alcotest.(check string) "the new segment serves it" "range" (source out3.(0));
   let s = Serve.Server.stats t in
-  Alcotest.(check int) "range hits" 1 s.range_hits
+  Alcotest.(check int) "range hits" 2 s.range_hits
 
 (* ------------------------------------------------------------------ *)
 
@@ -321,26 +340,41 @@ let test_pool_nearest () =
     Option.get r.Prospector.Lp_lf.basis
   in
   let b_lo = solve (0.4 *. e.full_mj) and b_hi = solve (0.7 *. e.full_mj) in
-  let p = Serve.Basis_pool.create ~capacity:2 in
-  Serve.Basis_pool.insert p ~budget:10. b_lo;
-  Serve.Basis_pool.insert p ~budget:20. b_hi;
-  let is b = function Some b' -> b' == b | None -> false in
-  Alcotest.(check bool) "nearest low" true
-    (is b_lo (Serve.Basis_pool.lookup p ~budget:12.));
-  Alcotest.(check bool) "nearest high" true
-    (is b_hi (Serve.Basis_pool.lookup p ~budget:19.));
-  Alcotest.(check bool) "tie goes low" true
-    (is b_lo (Serve.Basis_pool.lookup p ~budget:15.));
-  (* a full pool evicts its oldest entry, whatever its budget *)
-  Serve.Basis_pool.insert p ~budget:30. b_lo;
-  Alcotest.(check int) "capacity holds" 2 (Serve.Basis_pool.size p);
-  Alcotest.(check bool) "oldest evicted" true
-    (is b_hi (Serve.Basis_pool.lookup p ~budget:11.));
-  (* capacity 0 disables the pool *)
-  let z = Serve.Basis_pool.create ~capacity:0 in
-  Serve.Basis_pool.insert z ~budget:10. b_lo;
-  Alcotest.(check bool) "disabled pool misses" true
-    (Serve.Basis_pool.lookup z ~budget:10. = None)
+  let module S = Serve.Segment_set in
+  let p = S.create ~capacity:2 in
+  (* ladder bases are zero-width intervals *)
+  S.insert p ~lo:10. ~hi:10. b_lo;
+  S.insert p ~lo:20. ~hi:20. b_hi;
+  let is b = function S.Containing b' | S.Nearest b' -> b' == b | S.Empty -> false in
+  Alcotest.(check bool) "nearest low" true (is b_lo (S.lookup p ~budget:12.));
+  Alcotest.(check bool) "nearest high" true (is b_hi (S.lookup p ~budget:19.));
+  Alcotest.(check bool) "tie goes low" true (is b_lo (S.lookup p ~budget:15.));
+  Alcotest.(check bool) "a point contains its budget" true
+    (match S.lookup p ~budget:20. with S.Containing b -> b == b_hi | _ -> false);
+  (* an equal interval replaces the older entry *)
+  S.insert p ~lo:20. ~hi:20. b_lo;
+  Alcotest.(check int) "newest wins" 2 (S.size p);
+  Alcotest.(check bool) "replaced" true (is b_lo (S.lookup p ~budget:20.));
+  (* a full set evicts its least recently used entry, whatever its
+     budget: 20 was looked up last, so 10 goes *)
+  S.insert p ~lo:30. ~hi:30. b_hi;
+  Alcotest.(check int) "capacity holds" 2 (S.size p);
+  Alcotest.(check (list (pair (float 0.) (float 0.))))
+    "least recently used evicted"
+    [ (20., 20.); (30., 30.) ]
+    (S.bounds p);
+  (* an interval swallows the entries inside it *)
+  S.insert p ~lo:15. ~hi:35. b_lo;
+  Alcotest.(check (list (pair (float 0.) (float 0.)))) "inner entries dropped"
+    [ (15., 35.) ] (S.bounds p);
+  Alcotest.(check bool) "interval contains" true
+    (match S.lookup p ~budget:22. with S.Containing b -> b == b_lo | _ -> false);
+  Alcotest.(check bool) "interval nearest" true
+    (match S.lookup p ~budget:40. with S.Nearest b -> b == b_lo | _ -> false);
+  (* capacity 0 disables the set *)
+  let z = S.create ~capacity:0 in
+  S.insert z ~lo:10. ~hi:10. b_lo;
+  Alcotest.(check bool) "disabled set misses" true (S.lookup z ~budget:10. = S.Empty)
 
 (* ------------------------------------------------------------------ *)
 
@@ -436,13 +470,57 @@ let test_window_rotation () =
   Alcotest.(check bool) "re-certified on the new window" true
     (served out.(0)).certify.Lp.Certify.certified
 
-(* A source tag is a claim about the solve: every task tagged "pool" or
-   "range" must have run the warm path (its first [lp.revised] span says
+(* A guarantee ladder that escalated solved its chosen plan's LP at the
+   rung's budget, [budget * 1.5^e], so that is the budget its basis is
+   pooled under: a later guarantee query starts from the basis solved
+   nearest to its own budget. *)
+let test_ladder_deposit_budget () =
+  let e = mk_env ~n:20 ~count:16 61 in
+  (* the first (target, budget) whose ladder escalates and is met *)
+  let inst = Prospector.Lp_lf.instance e.topo e.cost e.samples ~k:4 in
+  let target, b, fresh =
+    match
+      List.find_map
+        (fun (target, frac) ->
+          let b = frac *. e.full_mj in
+          let r = Prospector.Lp_lf.solve ~guarantee:target inst ~budget:b in
+          let met =
+            match r.guarantee with
+            | Some g -> Prospector.Guarantee.meets g ~eps:(fst target) ~delta:(snd target)
+            | None -> false
+          in
+          if met && r.lp_budget > b then Some (target, b, r) else None)
+        [ ((0.5, 0.3), 0.2); ((0.6, 0.3), 0.1); ((0.8, 0.5), 0.05); ((0.9, 0.5), 0.02) ]
+    with
+    | Some found -> found
+    | None -> Alcotest.fail "no met target needed an escalation"
+  in
+  let rungs = Float.log (fresh.lp_budget /. b) /. Float.log 1.5 in
+  Alcotest.(check bool)
+    (Printf.sprintf "the ladder escalated (%.2f rungs)" rungs)
+    true (rungs >= 0.99);
+  let t = server_of [ e ] in
+  let out =
+    Serve.Server.run t
+      [| Serve.Server.query ~guarantee:target ~network:0 ~k:4 b |]
+  in
+  Alcotest.(check bool) "served" true
+    (match out.(0) with Serve.Server.Served _ -> true | _ -> false);
+  match Serve.Server.warm_state t ~network:0 ~k:4 with
+  | Some w ->
+      Alcotest.(check (list (float 0.)))
+        "pooled at the rung's budget" [ fresh.lp_budget ] w.ladder_budgets
+  | None -> Alcotest.fail "no instance"
+
+(* A source tag is a claim about the solve: every task tagged "range"
+   must have been served by a certified affine point (an [lp.affine] span
+   with [certified = true]) and run no simplex (no [lp.revised] span),
+   every "pool" one the warm path (its first [lp.revised] span says
    [warm = true]) and every "cold" one the cold path.  Queries go one per
    call so that a call's spans are its query's; the stream walks cold,
    cache, pool and range starts, guarantee ladders starting cold and
    from the ladder pool, and a window refresh. *)
-let honest_sources ?config ~expected () =
+let honest_sources ?config ~expected ?(refreshed = expected) () =
   let e = mk_env ~n:20 ~count:16 91 in
   let t = server_of ?config [ e ] in
   let b = 0.5 *. e.full_mj in
@@ -470,14 +548,25 @@ let honest_sources ?config ~expected () =
           else None)
         (Obs.Trace.events sink)
     in
-    (match (tag, first_warm) with
-    | ("pool" | "range"), Some (Some (Obs.Trace.Bool true))
-    | "cold", Some (Some (Obs.Trace.Bool false))
-    | "cache", None ->
+    let affine =
+      List.filter_map
+        (fun (ev : Obs.Trace.event) ->
+          if String.equal ev.name "lp.affine" then
+            Some (Obs.Trace.find_attr ev "certified")
+          else None)
+        (Obs.Trace.events sink)
+    in
+    (match (tag, affine, first_warm) with
+    | "range", [ Some (Obs.Trace.Bool true) ], None
+    | "pool", [], Some (Some (Obs.Trace.Bool true))
+    | "cold", [], Some (Some (Obs.Trace.Bool false))
+    | "cache", [], None ->
         ()
-    | _, Some (Some (Obs.Trace.Bool w)) ->
+    | "range", _, Some _ -> Alcotest.failf "tagged range but a simplex ran"
+    | _, _ :: _, _ -> Alcotest.failf "tagged %s but an affine point was tried" tag
+    | _, _, Some (Some (Obs.Trace.Bool w)) ->
         Alcotest.failf "tagged %s but the solve ran warm = %b" tag w
-    | _ -> Alcotest.failf "tagged %s: no lp.revised span to match" tag);
+    | _ -> Alcotest.failf "tagged %s: no span to match" tag);
     (match out.(0) with
     | Serve.Server.Served r -> (
         match (query.Serve.Server.guarantee, r.guarantee) with
@@ -497,6 +586,8 @@ let honest_sources ?config ~expected () =
         q 1.001;
         q 1.0005;
         q 0.7;
+        q 0.25;
+        q 2.;
         q ~guarantee:g 1.;
         q ~guarantee:g 1.1;
         q ~guarantee:(0.8, 0.5) 0.9;
@@ -510,23 +601,33 @@ let honest_sources ?config ~expected () =
   in
   Serve.Server.update_window t ~network:0
     (Sampling.Sample_set.draw rng field ~k:4 ~count:16);
-  Alcotest.(check (list string)) "refreshed window" expected (stream ())
+  Alcotest.(check (list string)) "refreshed window" refreshed (stream ())
 
 let test_honest_sources () =
   honest_sources
-    ~expected:[ "cold"; "cache"; "pool"; "range"; "pool"; "cold"; "pool"; "pool" ]
+    ~expected:
+      [ "cold"; "cache"; "range"; "range"; "range"; "pool"; "pool"; "cold";
+        "pool"; "pool" ]
+    ~refreshed:
+      [ "cold"; "cache"; "range"; "range"; "pool"; "pool"; "pool"; "cold";
+        "pool"; "pool" ]
     ()
 
 (* The warm state does not depend on the plan cache: with the cache off
    a repeat is a range hit instead of a cache hit, and everything else
-   starts where it did.  With the pool off too the server keeps nothing
-   and every query is cold. *)
+   starts where it did.  With the pool off the server keeps nothing and
+   every query is cold. *)
 let test_honest_sources_uncached () =
   honest_sources ~config:(config ~cache:0 ())
-    ~expected:[ "cold"; "range"; "pool"; "range"; "pool"; "cold"; "pool"; "pool" ]
+    ~expected:
+      [ "cold"; "range"; "range"; "range"; "range"; "pool"; "pool"; "cold";
+        "pool"; "pool" ]
+    ~refreshed:
+      [ "cold"; "range"; "range"; "range"; "pool"; "pool"; "pool"; "cold";
+        "pool"; "pool" ]
     ();
   honest_sources ~config:(config ~cache:0 ~pool:0 ())
-    ~expected:(List.init 8 (fun _ -> "cold"))
+    ~expected:(List.init 10 (fun _ -> "cold"))
     ()
 
 (* One batch holding several distinct-budget queries per instance on
@@ -600,9 +701,44 @@ let test_deferral_determinism () =
   Alcotest.(check int) "no other cold solve" 4 (Hashtbl.length colds);
   Alcotest.(check (list string))
     "tags"
-    [ "cold"; "cold"; "pool"; "cold"; "pool"; "pool"; "cold"; "coalesced";
-      "pool"; "pool"; "pool"; "pool" ]
+    [ "cold"; "cold"; "pool"; "cold"; "pool"; "range"; "cold"; "coalesced";
+      "pool"; "pool"; "range"; "pool" ]
     (List.map snd trace)
+
+(* A range hit leaves no warm state, so it makes no other query on its
+   instance wait: a batch holding a budget inside the instance's segment
+   and one outside it runs in one pass. *)
+let test_range_hit_defers_nothing () =
+  let e = mk_env 12 in
+  let t = server_of [ e ] in
+  let b = 0.5 *. e.full_mj in
+  let q budget = Serve.Server.query ~network:0 ~k:4 budget in
+  ignore (Serve.Server.run t [| q b |]);
+  let lo, hi =
+    match Serve.Server.warm_state t ~network:0 ~k:4 with
+    | Some { segments = [ s ]; _ } -> s
+    | _ -> Alcotest.fail "expected one segment"
+  in
+  let inside = 0.5 *. (lo +. b) in
+  let outside = if lo > 0. then 0.9 *. lo else 1.1 *. hi in
+  if not (Float.is_finite outside) then Alcotest.fail "segment covers every budget";
+  let sink = Obs.Trace.create () in
+  Obs.Trace.install (Some sink);
+  let out =
+    Fun.protect
+      ~finally:(fun () -> Obs.Trace.install None)
+      (fun () -> Serve.Server.run t [| q inside; q outside |])
+  in
+  Alcotest.(check (list string)) "sources" [ "range"; "pool" ]
+    (Array.to_list (Array.map source out));
+  let passes =
+    List.filter_map
+      (fun (ev : Obs.Trace.event) ->
+        if String.equal ev.name "serve.batch" then Obs.Trace.find_attr ev "passes"
+        else None)
+      (Obs.Trace.events sink)
+  in
+  Alcotest.(check bool) "one pass" true (passes = [ Obs.Trace.Int 1 ])
 
 (* Guarantee targets are part of the exact identity bit for bit: targets
    one ulp apart in ε alone or δ alone, and "no target" against any
@@ -741,13 +877,22 @@ let test_seeded_workload_counters () =
   check "cache_hits" 90 s.cache_hits;
   check "cache_misses" 90 (s.range_hits + s.pool_hits + s.cold_misses);
   (* one cold solve per tenant: the rest of its first batch waits for
-     that solve's basis *)
-  check "range_hits" 0 s.range_hits;
-  check "pool_hits" 87 s.pool_hits;
+     that solve's segment; the budget ladder is 0.1% steps, so almost
+     every later budget lies in a segment an earlier solve left *)
+  check "range_hits" 84 s.range_hits;
+  check "pool_hits" 3 s.pool_hits;
   check "cold_misses" 3 s.cold_misses;
   check "coalesced" 30 s.coalesced;
   check "evictions" 0 s.evictions;
-  check "refused" 0 s.refused
+  check "refused" 0 s.refused;
+  List.iteri
+    (fun network _ ->
+      match Serve.Server.warm_state t ~network ~k:6 with
+      | Some w ->
+          Alcotest.(check bool) "segments within pool_capacity" true
+            (List.length w.segments <= 8)
+      | None -> Alcotest.fail "tenant instance missing")
+    w.nets
 
 (* Hit traffic must be served at least 5x faster per query than the same
    number of cold solves.  Cold passes (no cache, no pool) alternate with
@@ -798,6 +943,8 @@ let () =
             test_invalid_queries;
           Alcotest.test_case "window rotation" `Quick test_window_rotation;
           Alcotest.test_case "warm tags ran warm" `Quick test_honest_sources;
+          Alcotest.test_case "ladder basis pooled at its rung's budget" `Quick
+            test_ladder_deposit_budget;
           Alcotest.test_case "warm tags without a cache" `Quick
             test_honest_sources_uncached;
         ] );
@@ -810,6 +957,8 @@ let () =
             test_seeded_workload_counters;
           Alcotest.test_case "cold solves deferred within a batch" `Quick
             test_deferral_determinism;
+          Alcotest.test_case "range hits defer nothing" `Quick
+            test_range_hit_defers_nothing;
         ] );
       ( "performance",
         [

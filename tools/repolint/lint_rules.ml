@@ -104,9 +104,10 @@ let all =
         "values of LP-solution/plan type reaching dissemination or serving \
          sinks (Replan.create/consider/force, Simnet_exec collection, \
          Server response construction) must flow through the certified \
-         chain (Robust_plan, Model.solve_certified, Certify); raw \
-         Revised.solve / Dense_simplex.solve / Model.solve results and \
-         hand-built solution records are tracked inter-procedurally and \
+         chain (Robust_plan, Model.solve_certified, \
+         Model.affine_certified, Certify); raw Revised.solve / \
+         Dense_simplex.solve / Model.solve results, raw Ranging.affine \
+         points and hand-built solution records are tracked inter-procedurally and \
          flagged at the sink with their def-use path";
     };
     {
@@ -288,7 +289,9 @@ let r5_forbidden path =
 let r6_producer_zone path = zone_of_path path = Lib_lp
 
 let r6_producer path =
-  path_matches [ "Revised.solve"; "Dense_simplex.solve"; "Model.solve" ] path
+  path_matches
+    [ "Revised.solve"; "Dense_simplex.solve"; "Model.solve"; "Ranging.affine" ]
+    path
 
 (* The certified chain.  A value returned by any of these carries a
    certificate (or a refusal) by construction — PR 3's fallback chain,
@@ -299,6 +302,7 @@ let r6_sanitizer path =
     [
       "Model.solve_certified";
       "Model.solve_dense_certified";
+      "Model.affine_certified";
       "Certify.certify_optimal";
       "Certify.certify_feasible";
       "Certify.certify_infeasible";
