@@ -23,8 +23,97 @@ let check_alive who topo alive =
 let is_alive alive i =
   match alive with None -> true | Some a -> a.(i)
 
+(* What the crash start needs of the model: each node's z and b columns
+   (none for the root), its monotonicity row (-1 below the root) and its
+   bandwidth row per sample (-1 where the sample has no one below the
+   edge), the window's ones, and each y column with its node and its
+   [y <= z] row. *)
+type layout = {
+  z_var : Lp.Model.var option array;
+  b_var : Lp.Model.var option array;
+  mono_row : int array;
+  bw_row : int array array;
+  ones : int array array;
+  ys : (int * Lp.Model.var * int) array;
+}
+
+(* The "everything covered" crash start (DESIGN.md, "Crash start"):
+   every live y at its upper bound 1; each edge whose subtree holds a
+   live one with z at 1 and b basic in its fullest bandwidth row (the
+   first in sample order on a tie); every other row's slack basic.  A
+   node is live when it and all its ancestors are alive; a dead subtree
+   starts at 0 and its ones count for nothing.  There, each y is basic
+   (at 0) in its own [y <= z] row, each z below a dead node is basic in
+   its monotonicity row (equal to its parent's, so 0), and a dead node's
+   z, fixed at 0, is marked at its upper bound; so the basis stays
+   triangular and dual feasible under any mask, and only the budget row
+   can be violated. *)
+let crash topo layout alive =
+  let n = topo.Sensor.Topology.n and root = topo.Sensor.Topology.root in
+  let parent = topo.Sensor.Topology.parent in
+  let live = Array.make n true in
+  (match alive with
+  | None -> ()
+  | Some a ->
+      (* Parents before children. *)
+      let order = Sensor.Topology.post_order topo in
+      for p = n - 1 downto 0 do
+        let u = order.(p) in
+        live.(u) <- u = root || (a.(u) && live.(parent.(u)))
+      done);
+  (* Each edge's fullest bandwidth row: per sample, count the live ones
+     below every edge by climbing from each one to the root, then read
+     and clear the counts on a second climb. *)
+  let count = Array.make n 0 and best = Array.make n 0 in
+  let best_row = Array.make n (-1) in
+  let climb ones f =
+    Array.iter
+      (fun u ->
+        if live.(u) then begin
+          let a = ref u in
+          while !a <> root do
+            f !a;
+            a := parent.(!a)
+          done
+        end)
+      ones
+  in
+  Array.iteri
+    (fun j ones ->
+      climb ones (fun a -> count.(a) <- count.(a) + 1);
+      climb ones (fun a ->
+          let c = count.(a) in
+          if c > best.(a) then begin
+            best.(a) <- c;
+            best_row.(a) <- layout.bw_row.(a).(j)
+          end;
+          count.(a) <- 0))
+    layout.ones;
+  let basic = ref [] and at_upper = ref [] in
+  for i = 0 to n - 1 do
+    match (layout.z_var.(i), layout.b_var.(i)) with
+    | Some z, Some b ->
+        if live.(i) then begin
+          if best.(i) > 0 then begin
+            basic := (best_row.(i), b) :: !basic;
+            at_upper := z :: !at_upper
+          end
+        end
+        else if is_alive alive i then
+          basic := (layout.mono_row.(i), z) :: !basic
+        else at_upper := z :: !at_upper
+    | _ -> ()
+  done;
+  Array.iter
+    (fun (u, y, row) ->
+      if live.(u) then at_upper := y :: !at_upper
+      else basic := (row, y) :: !basic)
+    layout.ys;
+  { Lp.Model.basic = !basic; at_upper = !at_upper }
+
 (* The model, with the variable index of each node's z and b (-1 for the
-   root).  The budget row is the last constraint. *)
+   root) and the layout of its crash start, which the model carries for
+   [alive].  The budget row is the last constraint. *)
 let build ?alive ~who topo cost samples ~budget ~k =
   if k < 1 then invalid_arg (who ^ ": k must be positive");
   check_alive who topo alive;
@@ -72,6 +161,7 @@ let build ?alive ~who topo cost samples ~budget ~k =
       ones.(j)
   done;
   (* Edge activation and monotonicity. *)
+  let mono_row = Array.make n (-1) in
   for i = 0 to n - 1 do
     if i <> root then begin
       let cap =
@@ -79,10 +169,13 @@ let build ?alive ~who topo cost samples ~budget ~k =
       in
       Lp.Model.add_le model [ (1., getb i); (-.cap, getz i) ] 0.;
       let p = topo.Sensor.Topology.parent.(i) in
-      if p <> root then
+      if p <> root then begin
+        mono_row.(i) <- Lp.Model.n_constraints model;
         Lp.Model.add_le model [ (1., getz i); (-1., getz p) ] 0.
+      end
     end
   done;
+  let ys = ref [] in
   (* y_{j,i} <= z_i on the node's own uplink.  Rows are added in sorted
      (sample, node) order so the LP's row layout — and therefore the
      solver's pivot trajectory — never depends on hash-table order. *)
@@ -90,21 +183,27 @@ let build ?alive ~who topo cost samples ~budget ~k =
   |> List.sort (fun (((j1 : int), (i1 : int)), _) ((j2, i2), _) ->
          match Int.compare j1 j2 with 0 -> Int.compare i1 i2 | c -> c)
   |> List.iter (fun ((_, i), yv) ->
+         ys := (i, yv, Lp.Model.n_constraints model) :: !ys;
          Lp.Model.add_le model [ (1., yv); (-1., getz i) ] 0.);
   (* Bandwidth rows: per (edge, sample), the covered ones below the edge
      cannot exceed its bandwidth.  Rows with no ones below are skipped. *)
+  let bw_row = Array.make n [||] in
   for i = 0 to n - 1 do
     if i <> root then begin
       let desc = Sensor.Topology.descendants topo i in
+      let rows = Array.make n_samples (-1) in
       for j = 0 to n_samples - 1 do
         let terms =
           List.filter_map
             (fun u -> Option.map (fun yv -> (1., yv)) (Hashtbl.find_opt y (j, u)))
             desc
         in
-        if terms <> [] then
+        if terms <> [] then begin
+          rows.(j) <- Lp.Model.n_constraints model;
           Lp.Model.add_le model ((-1., getb i) :: terms) 0.
-      done
+        end
+      done;
+      bw_row.(i) <- rows
     end
   done;
   (* Budget. *)
@@ -117,12 +216,16 @@ let build ?alive ~who topo cost samples ~budget ~k =
         :: !budget_terms
   done;
   Lp.Model.add_le model !budget_terms budget;
+  let layout =
+    { z_var = z; b_var = b; mono_row; bw_row; ones; ys = Array.of_list !ys }
+  in
+  Lp.Model.set_start model (crash topo layout alive);
   let index v = Option.fold ~none:(-1) ~some:Lp.Model.var_index v in
-  (model, Array.map index z, Array.map index b)
+  (model, Array.map index z, Array.map index b, layout)
 
 let lp_model ?alive topo cost samples ~budget ~k =
   Greedy.check_budget "Lp_lf.lp_model" budget;
-  let model, _, _ =
+  let model, _, _, _ =
     build ?alive ~who:"Lp_lf.lp_model" topo cost samples ~budget ~k
   in
   model
@@ -141,13 +244,16 @@ type instance = {
   problem : Lp.Problem.t;  (* its lowering *)
   z_cols : int array;
   b_cols : int array;
+  layout : layout;  (* for the crash start under an alive mask *)
   budget_row : int;
   half : instance option Atomic.t;
 }
 
 let make_instance ~who topo cost samples ~k =
   let t0 = if Obs.Trace.active () then Obs.Trace.now () else 0. in
-  let model, z_cols, b_cols = build ~who topo cost samples ~budget:0. ~k in
+  let model, z_cols, b_cols, layout =
+    build ~who topo cost samples ~budget:0. ~k
+  in
   let problem = Lp.Model.to_problem model in
   if Obs.Trace.active () then
     Obs.Trace.emit Obs.Trace.Plan ~name:"lp_lf.instance" ~start_s:t0
@@ -166,6 +272,7 @@ let make_instance ~who topo cost samples ~k =
     problem;
     z_cols;
     b_cols;
+    layout;
     budget_row = problem.Lp.Problem.nrows - 1;
     half = Atomic.make None;
   }
@@ -178,17 +285,17 @@ let patched ~who ?alive inst ~budget =
   let p = inst.problem in
   let rhs = Array.copy p.Lp.Problem.rhs in
   rhs.(inst.budget_row) <- budget;
-  let upper =
-    match alive with
-    | None -> p.Lp.Problem.upper
-    | Some a ->
-        let u = Array.copy p.Lp.Problem.upper in
-        Array.iteri
-          (fun i z -> if z >= 0 && not a.(i) then u.(z) <- 0.)
-          inst.z_cols;
-        u
-  in
-  { p with Lp.Problem.rhs; upper }
+  match alive with
+  | None -> { p with Lp.Problem.rhs }
+  | Some a ->
+      let upper = Array.copy p.Lp.Problem.upper in
+      Array.iteri
+        (fun i z -> if z >= 0 && not a.(i) then upper.(z) <- 0.)
+        inst.z_cols;
+      let start =
+        Lp.Model.lower_start inst.model (crash inst.topo inst.layout alive)
+      in
+      { p with Lp.Problem.rhs; upper; start = Some start }
 
 let problem ?alive inst ~budget =
   patched ~who:"Lp_lf.problem" ?alive inst ~budget

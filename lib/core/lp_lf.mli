@@ -13,7 +13,19 @@
     tree (compact equivalent of the paper's per-ancestor rows), a bandwidth
     row per (edge, sample) limiting how many covered ones can flow through
     the edge, activation [b_e <= cap * z_e], and the energy budget charging
-    [cm] per used edge and per-value cost per unit bandwidth. *)
+    [cm] per used edge and per-value cost per unit bandwidth.
+
+    Every model this module builds carries a crash start
+    ({!Lp.Model.start}), so a solve given no usable warm-start token
+    begins at the "everything covered" basis instead of the all-slack
+    one: every live [y] at 1, each edge whose subtree holds a live
+    sampled one with [z = 1] and [b] basic in its fullest bandwidth row,
+    every other row's slack basic.  A dead node's subtree starts at 0
+    (its [y]s and [z]s basic at 0 in their own [y <= z] and
+    monotonicity rows), so the basis is dual feasible under any [alive]
+    mask: the solve ends at once when the budget row holds there, and
+    the dual simplex finishes it when not.  The start changes only which
+    optimal vertex a degenerate LP ends at, never the optimum. *)
 
 type result = {
   plan : Plan.t;
@@ -112,7 +124,8 @@ val problem : ?alive:bool array -> instance -> budget:float -> Lp.Problem.t
 (** The lowered LP that {!solve} hands to every stage of the certified
     chain at this [budget] and [alive] mask: the instance's lowering with
     the budget row's right-hand side and the dead nodes' activation
-    bounds patched; the matrix is shared.  For diagnostics and external
+    bounds patched, and under a mask the crash start for that mask; the
+    matrix is shared.  For diagnostics and external
     certification, like {!lp_model}. *)
 
 val solve :
@@ -143,7 +156,9 @@ val lp_model :
   Lp.Model.t
 (** The LP+LF relaxation as a bare {!Lp.Model.t}, without solving or
     rounding — for benchmarks and diagnostics (e.g. measuring certification
-    overhead on the exact model the planner solves). *)
+    overhead on the exact model the planner solves).  It carries the
+    crash start for [alive], so [Lp.Revised.solve (Lp.Model.to_problem
+    m)] starts where {!plan} does and reaches the same basis. *)
 
 (** {1 Budget segments}
 

@@ -46,7 +46,8 @@ let consider ?max_lp_iterations ?lp_deadline ?guarantee t topo cost mica
   (* Successive epochs re-solve nearly identical LPs: reuse the previous
      epoch's final basis.  When the sample window changes the LP's shape,
      Robust_plan.solve drops the token via the LP layer's shared
-     Lp.Model.basis_compatible predicate and the solve starts cold. *)
+     Lp.Model.basis_compatible predicate and the solve starts from the new
+     LP's crash basis (Lp_lf's "everything covered" start). *)
   let r =
     Lp_lf.plan ?warm_start:t.warm ?max_lp_iterations ?lp_deadline ?guarantee
       topo cost samples ~budget ~k

@@ -36,7 +36,10 @@ type t = {
      on first lookup or solve and invalidated by [add_var]; keeps
      [var_name] off the O(n) [List.nth] path. *)
   mutable finalized : finalized option;
+  mutable start : start option;
 }
+
+and start = { basic : (int * var) list; at_upper : var list }
 
 and finalized = {
   f_names : string array;
@@ -73,6 +76,7 @@ let create ?(direction = Minimize) () =
     rows = [];
     nrows = 0;
     finalized = None;
+    start = None;
   }
 
 let finalize t =
@@ -130,6 +134,10 @@ let add_eq t terms rhs = add_constraint t terms Eq rhs
 
 let n_vars t = t.nvars
 
+let n_constraints t = t.nrows
+
+let set_start t s = t.start <- Some s
+
 let var_of_index t j =
   if j < 0 || j >= t.nvars then invalid_arg "Model.var_of_index: out of range";
   j
@@ -137,6 +145,27 @@ let var_of_index t j =
 let value sol v = sol.values.(v)
 
 (* ---- lowering to the revised solver's computational form ---- *)
+
+(* Variable [v] is column [v] and constraint [i]'s slack column
+   [nvars + i], as in {!to_problem}. *)
+let lower_start t s =
+  let n = t.nvars and m = t.nrows in
+  let var v =
+    if v < 0 || v >= n then invalid_arg "Model.lower_start: unknown var";
+    v
+  in
+  let vars = Array.init m (fun i -> n + i) in
+  let at_upper = Array.make (n + m) false in
+  List.iter
+    (fun (i, v) ->
+      if i < 0 || i >= m then
+        invalid_arg "Model.lower_start: unknown constraint";
+      if vars.(i) <> n + i then
+        invalid_arg "Model.lower_start: two variables basic in one constraint";
+      vars.(i) <- var v)
+    s.basic;
+  List.iter (fun v -> at_upper.(var v) <- true) s.at_upper;
+  { Problem.vars; at_upper }
 
 let non_finite t i c v =
   invalid_arg
@@ -248,6 +277,7 @@ let to_problem t =
     upper;
     rhs;
     basis_hint = Some hint;
+    start = Option.map (lower_start t) t.start;
     shared = Problem.fresh_shared ();
   }
 

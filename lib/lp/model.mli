@@ -31,7 +31,8 @@ type basis
     be passed to a later {!solve} of a model with the same variable and
     constraint counts (the same model re-solved, or a freshly built model of
     identical shape) to start the simplex from that basis instead of from
-    scratch.  Incompatible tokens are silently ignored.
+    the model's {!start} (or, with none, the all-slack basis).
+    Incompatible tokens are silently ignored.
 
     A token also carries the LU factors of its basis once a solve has
     computed them (or handed them on from a 0-pivot solve): a later warm
@@ -95,15 +96,47 @@ val add_eq : t -> (float * var) list -> float -> unit
 
 val n_vars : t -> int
 
+val n_constraints : t -> int
+(** Constraints added so far; the next one added gets this index. *)
+
+(** {1 Crash start} *)
+
+type start = {
+  basic : (int * var) list;
+      (** [(i, v)]: variable [v] is basic in constraint [i] (insertion
+          index) *)
+  at_upper : var list;  (** nonbasic variables at their upper bound *)
+}
+(** A starting basis stated in the model's terms: every constraint not
+    named in [basic] has its slack basic, and every other nonbasic
+    variable sits at its lower bound.  A builder that knows its LP's
+    structure states one (a crash basis) so that a solve given no
+    warm-start token begins near its optimum instead of at the all-slack
+    basis. *)
+
+val set_start : t -> start -> unit
+(** Record the basis {!to_problem} lowers into the problem's [start], the
+    one {!solve} starts from when given no usable token.  Constraints
+    and variables added afterwards keep their slacks basic and sit at
+    their lower bounds. *)
+
+val lower_start : t -> start -> Problem.basis
+(** [start] lowered as {!to_problem} lowers the model's own: for a copy
+    of the lowering whose bounds call for another start.
+    @raise Invalid_argument for an unknown constraint or variable, or two
+    variables basic in one constraint.  (A variable basic in two
+    constraints is refused by {!Problem.validate}.) *)
+
 val var_of_index : t -> int -> var
 (** Inverse of {!var_index}.  @raise Invalid_argument if out of range. *)
 
 val to_problem : t -> Problem.t
 (** The model lowered to computational standard form: variable [v] maps to
     column [v], and constraint [i] (insertion order) owns slack column
-    [n_vars + i].  This is exactly the problem {!solve} hands to the
-    revised solver, so external checkers ({!Certify}) can re-verify a
-    solution against it.  Duplicate terms of a row are summed and
+    [n_vars + i]; the model's {!start}, if set, becomes the problem's
+    [start] through {!lower_start}.  This is exactly the problem {!solve}
+    hands to the revised solver, so external checkers ({!Certify}) can
+    re-verify a solution against it.  Duplicate terms of a row are summed and
     entries of magnitude at most {!Sparse_vec.drop_tol} dropped, exactly
     as {!Sparse_vec.of_assoc} does.
     @raise Invalid_argument naming the row and the variable when a
@@ -121,8 +154,10 @@ val solve :
     budget in seconds for the revised solver (best effort; exceeded budgets
     yield [Iteration_limit]).  [warm_start] feeds a previous solution's
     basis token back to the revised solver; it is ignored when the shapes
-    differ.  [bland_after] tunes the degeneracy
-    threshold for the Bland's-rule fallback (tests only). *)
+    differ.  Without a usable token the solve starts from the model's
+    {!start} when one is set (falling back to the all-slack basis should
+    that start fail), else from the all-slack basis.  [bland_after] tunes
+    the degeneracy threshold for the Bland's-rule fallback (tests only). *)
 
 val solve_certified :
   ?max_iterations:int ->

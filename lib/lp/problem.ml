@@ -4,10 +4,13 @@
    it was computed from. *)
 type rows = { row_start : int array; row_col : int array; row_val : float array }
 
+type basis = { vars : int array; at_upper : bool array }
+
 type matrix = {
   m_cols : Sparse_vec.t array;
   m_nrows : int;
   m_hint : int array option;
+  m_start : basis option;  (* the start checked with the matrix *)
   m_strict : bool;
   m_identity : Sparse_vec.t array;
   rows : rows option Atomic.t;
@@ -26,6 +29,7 @@ type t = {
   upper : float array;
   rhs : float array;
   basis_hint : int array option;
+  start : basis option;
   shared : shared;
 }
 
@@ -75,11 +79,34 @@ let check_hint t =
           end)
         hint
 
+let check_start t =
+  match t.start with
+  | None -> ()
+  | Some s ->
+      if Array.length s.vars <> t.nrows then
+        fail "start has %d basic entries for %d rows" (Array.length s.vars)
+          t.nrows;
+      if Array.length s.at_upper <> t.ncols then
+        fail "start has %d bound flags for %d columns"
+          (Array.length s.at_upper) t.ncols;
+      let row_of = Array.make t.ncols (-1) in
+      Array.iteri
+        (fun i j ->
+          if j < -1 || j >= t.ncols then
+            fail "start row %d has column %d out of range" i j;
+          if j >= 0 then begin
+            if row_of.(j) >= 0 then
+              fail "start column %d is basic in rows %d and %d" j row_of.(j) i;
+            row_of.(j) <- i
+          end)
+        s.vars
+
 (* The checks run in a fixed order, so a problem with several faults is
    refused for the first: dimensions and lengths, the columns, bounds and
-   objective, the rhs, the hint.  The columns and the hint are checked
-   once per matrix; bounds, objective and rhs on every call, since copies
-   patch them. *)
+   objective, the rhs, the hint, the start.  The columns and the hint are
+   checked once per matrix, and so is the start the matrix was first
+   checked with; bounds, objective, rhs and any other start on every
+   call, since copies patch them. *)
 let matrix ?(strict = false) t =
   check (t.nrows >= 0 && t.ncols >= 0) "negative dimensions";
   check (Array.length t.cols = t.ncols) "cols length";
@@ -104,9 +131,12 @@ let matrix ?(strict = false) t =
       fail "row %d has non-finite rhs %g" i t.rhs.(i)
   done;
   match hit with
-  | Some e -> e
+  | Some e ->
+      if not (Option.equal ( == ) e.m_start t.start) then check_start t;
+      e
   | None ->
       check_hint t;
+      check_start t;
       let m_identity = Array.make (t.ncols + t.nrows) Sparse_vec.empty in
       Array.blit t.cols 0 m_identity 0 t.ncols;
       for i = 0 to t.nrows - 1 do
@@ -117,6 +147,7 @@ let matrix ?(strict = false) t =
           m_cols = t.cols;
           m_nrows = t.nrows;
           m_hint = t.basis_hint;
+          m_start = t.start;
           m_strict = strict;
           m_identity;
           rows = Atomic.make None;

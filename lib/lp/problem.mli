@@ -2,15 +2,29 @@
 
     A problem is [minimize c'x  subject to  A x = rhs,  lower <= x <= upper],
     where the columns of [A] include any slack columns (the {!Model} builder
-    adds one slack per inequality row).  Bounds may be infinite. *)
+    adds one slack per inequality row).  Bounds may be infinite.  A problem
+    may carry a [start]: the basis a solve given no warm-start token
+    begins from. *)
+
+type basis = {
+  vars : int array;
+      (** [vars.(i)] is the column basic in row [i], or [-1] when that
+          row's internal artificial variable is basic (pinned at zero) *)
+  at_upper : bool array;
+      (** length [ncols]; for nonbasic columns, whether the column sits at
+          its upper bound (entries for basic columns are meaningless) *)
+}
+(** A simplex basis: the solver's warm-start token ({!Revised.basis}) and
+    a problem's [start]. *)
 
 type shared
 (** What the copies of one problem share: the checks its matrix passed
     and the solver-side forms of that matrix, computed once.  A copy made
     with [{ p with rhs; lower; upper }] patches the vectors and keeps the
     matrix, so it reuses them; an entry is only used for the very [cols]
-    and [basis_hint] arrays it was computed from.  The matrix must not be
-    mutated in place once a problem has been validated. *)
+    and [basis_hint] arrays it was computed from.  Copies keep the
+    [start] too.  The matrix must not be mutated in place once a problem
+    has been validated. *)
 
 val fresh_shared : unit -> shared
 (** An empty cell, for a problem built with a new matrix. *)
@@ -27,12 +41,20 @@ type t = {
       (** Optional: [hint.(i)] is a column that is a pure unit vector on row
           [i] (e.g. that row's slack), used to warm-start the simplex with an
           identity basis.  [-1] entries mean "no hint for this row". *)
+  start : basis option;
+      (** Optional: the basis {!Revised.solve} starts from when it is
+          given no usable warm-start token (a crash basis built from the
+          problem's structure).  The solver adopts it through its
+          warm-start path and, should that attempt fail (a singular
+          basis, an unrepairable start), solves from the all-slack basis
+          instead.  [None]: always the all-slack basis. *)
   shared : shared;
 }
 
 val validate : ?strict:bool -> t -> unit
 (** Check structural invariants (array lengths, column heights, bound
-    order, hint columns are unit vectors) and numerical sanity: every
+    order, hint columns are unit vectors, the start's lengths, column
+    range and distinct basic columns) and numerical sanity: every
     matrix coefficient, objective coefficient and rhs entry must be
     finite, bounds must not be NaN, no [lower > upper], no [lower = +inf]
     or [upper = -inf].  With [strict] (default [false]), additionally
@@ -45,9 +67,11 @@ val validate : ?strict:bool -> t -> unit
 
     The checks run in a fixed order and the first failing one is
     reported: dimensions and array lengths, the columns, bounds and
-    objective, the rhs, the hint.  The columns and the hint are checked
-    once per matrix (see {!shared}); bounds, objective and rhs on every
-    call. *)
+    objective, the rhs, the hint, the start.  The columns and the hint
+    are checked once per matrix (see {!shared}), and so is the start the
+    matrix was first checked with; bounds, objective, rhs and any other
+    start on every call.  A start is checked, never dropped: a bad one
+    raises here rather than sending the solve to the all-slack basis. *)
 
 type matrix
 (** A validated matrix in the forms the revised simplex works on. *)

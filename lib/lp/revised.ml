@@ -33,7 +33,7 @@ type stats = {
   dual_fallbacks : int;
 }
 
-type basis = { vars : int array; at_upper : bool array }
+type basis = Problem.basis = { vars : int array; at_upper : bool array }
 
 type result = {
   status : status;
@@ -1384,12 +1384,18 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     && Array.length wb.at_upper = n
     && Problem.compatible_basis prob wb.vars
   in
-  (* The flag is true only when the warm path itself returned: an
-     unusable token and a [Warm_start_failed] fallback are cold solves. *)
+  (* A usable token, else the problem's start (checked by [Problem.matrix]
+     above), goes through the warm path; its failure, or neither, means
+     the all-slack cold path.  The span's [start] says which one ran. *)
   let dispatch () =
-    match warm with
-    | Some wb when warm_usable wb -> (
-        try (solve_warm wb, true)
+    let first =
+      match warm with
+      | Some wb when warm_usable wb -> Some (wb, "warm")
+      | Some _ | None -> Option.map (fun s -> (s, "crash")) prob.Problem.start
+    in
+    match first with
+    | Some (wb, how) -> (
+        try (solve_warm wb, how)
         with Warm_start_failed ->
           factor_reused := false;
           let res, factor = solve_cold () in
@@ -1398,14 +1404,14 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
             | None -> res
             | Some st -> { res with stats = add_stats (stats_of st) res.stats }
           in
-          ((res, factor), false))
-    | _ -> (solve_cold (), false)
+          ((res, factor), "cold"))
+    | None -> (solve_cold (), "cold")
   in
   let finished (res, factor) = (res, Atomic.make factor) in
   if not (Obs.Trace.active ()) then finished (fst (dispatch ()))
   else begin
     let t0 = Obs.Trace.now () in
-    let (res, _) as out, warm_used = dispatch () in
+    let (res, _) as out, start = dispatch () in
     let dur = Obs.Trace.now () -. t0 in
     Obs.Trace.emit Obs.Trace.Solve ~name:"lp.revised" ~start_s:t0
       ~dur_s:dur
@@ -1429,7 +1435,7 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
         ("lu_nnz", Obs.Trace.Int res.stats.lu_nnz);
         ("dual_iterations", Obs.Trace.Int res.stats.dual_iterations);
         ("dual_fallbacks", Obs.Trace.Int res.stats.dual_fallbacks);
-        ("warm", Obs.Trace.Bool warm_used);
+        ("start", Obs.Trace.Str start);
         ("factor_reused", Obs.Trace.Bool !factor_reused);
       ];
     finished out

@@ -16,19 +16,26 @@
 
     A previous solve's {!basis} can be fed back via [?basis] to warm-start
     a related problem (same dimensions, perturbed rhs/bounds/objective).
+    With no usable [?basis], a problem's {!Problem.start} (a crash basis
+    its builder derived from the LP's structure) takes the same path;
+    with neither, the solve starts cold from the all-slack basis.
     The basis is refactorized and its basic values recomputed.  A start
     that is primal feasible goes straight to phase 2.  One that is not,
     but is dual feasible once each boxed nonbasic column with a
     wrong-signed reduced cost moves to its other bound (the usual state
-    after an rhs or bound change), runs a bounded dual simplex (dual
-    Devex row choice, Harris ratio test) until no basic variable is out
-    of bounds, then phase 2 as the optimality check.  Otherwise, or when
-    the dual simplex meets a dual-unbounded row or numerical trouble, the
+    after an rhs or bound change, and the state of a crash basis whose
+    budget row is violated), runs a bounded dual simplex (dual Devex row
+    choice, Harris ratio test) until no basic variable is out of bounds,
+    then phase 2 as the optimality check.  Otherwise, or when the dual
+    simplex meets a dual-unbounded row or numerical trouble, the
     violations of the warm basic variables are repaired by a
     bound-relaxation phase 1.  Any failure there (singular basis,
-    unrepairable violation) falls back to the cold path transparently;
-    the result's {!stats} then count the warm attempt's work with the cold
-    solve's. *)
+    unrepairable violation) falls back to the all-slack cold path
+    transparently; the result's {!stats} then count the warm attempt's
+    work with the cold solve's.  The [lp.revised] trace span's [start]
+    attribute names the path that produced the result: ["warm"] (the
+    token), ["crash"] (the problem's start) or ["cold"] (the all-slack
+    basis, including after a failed attempt). *)
 
 type status = Optimal | Infeasible | Unbounded | Iteration_limit
 
@@ -59,7 +66,7 @@ type stats = {
           or the pivot cap), else 0 *)
 }
 
-type basis = {
+type basis = Problem.basis = {
   vars : int array;
       (** [vars.(i)] is the column basic in row [i], or [-1] when that
           row's internal artificial variable is basic (pinned at zero) *)
@@ -106,9 +113,11 @@ val solve :
     the solve stops at the next pivot boundary with
     [status = Iteration_limit] (best effort — the check is amortized, so a
     slow pivot can overrun slightly).  [basis] supplies a warm-start basis
-    from a previous solve; it is ignored (cold start) when structurally
-    incompatible, and abandoned transparently when singular or
-    unrepairable. *)
+    from a previous solve; it is ignored (the problem's start, else the
+    all-slack basis) when structurally incompatible, and abandoned for
+    the all-slack basis transparently when singular or unrepairable.
+    @raise Invalid_argument when the problem fails {!Problem.validate},
+    a bad [start] included. *)
 
 (** {1 Reusing a basis factorization} *)
 

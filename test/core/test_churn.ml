@@ -584,7 +584,10 @@ let test_surgery_repairs_and_restores () =
    killed alone and repaired by warm-started surgery; then one
    crash-restart campaign runs the controller end to end.  The energies
    are model-derived and deterministic, so they are held to 1e-9: a drift
-   is a behaviour change in surgery, install deltas or detection. *)
+   is a behaviour change in surgery, install deltas or detection, or in
+   the optimal basis of the initial plan that surgery warm-starts from
+   (the LP's optimum is degenerate, so another start can end at another
+   optimal basis and repair to another optimal vertex). *)
 let test_pinned_repair_energies () =
   let seed = 20060403 in
   let n = 40 and k = 8 in
@@ -632,7 +635,7 @@ let test_pinned_repair_energies () =
             expected r.Prospector.Repair.delta_install_mj
       | _ -> Alcotest.failf "victim %d: surgery did not repair" v)
     victims
-    [ 6.2325; 7.27125; 4.155; 4.155; 4.155; 8.31; 6.2325; 6.2325 ];
+    [ 5.19375; 7.27125; 4.155; 4.155; 4.155; 9.34875; 6.2325; 7.27125 ];
   (* Crash-restart campaign: the largest victim is down for epochs 2-5,
      with a full-coverage probe sweep beside the installed plan. *)
   let victim = List.hd victims in
@@ -670,7 +673,7 @@ let test_pinned_repair_energies () =
   done;
   Alcotest.(check int) "campaign repairs" 2 (Prospector.Repair.repairs ctrl);
   Alcotest.(check (float 1e-9))
-    "campaign recovery mJ" 13.50375
+    "campaign recovery mJ" 11.42625
     (Prospector.Repair.repair_energy_mj ctrl)
 
 let test_floor_refusal () =

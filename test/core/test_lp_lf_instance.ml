@@ -180,15 +180,22 @@ let lp_result (r : Prospector.Lp_lf.result) =
 (* A token's factor is reused exactly when the basis columns match: on
    the instance it came from, and not after a window refresh that keeps
    the LP's shape but moves its columns.  A stale factor is refactored
-   and gives the result of a token whose cell was never filled. *)
+   and gives the result of a token whose cell was never filled.  The
+   budget is tight, so the first solve pivots away from the crash start
+   and hands on a token with an empty cell (a 0-pivot solve would hand
+   on its factor). *)
 let test_token_after_window_refresh () =
   let topo, cost, samples, anchor, _ =
     deployment ~seed:20060403 ~n:50 ~n_samples:15 ~k:10
   in
-  let k = 10 and budget = 1.2 *. anchor in
+  let k = 10 and budget = 0.5 *. anchor in
   let inst = Prospector.Lp_lf.instance topo cost samples ~k in
   let cold () =
-    match (Prospector.Lp_lf.solve inst ~budget).basis with
+    let r = Prospector.Lp_lf.solve inst ~budget in
+    (match r.lp_stats with
+    | Some s when s.iterations > 0 -> ()
+    | _ -> Alcotest.fail "the first solve must pivot");
+    match r.basis with
     | Some b -> b
     | None -> Alcotest.fail "no token"
   in

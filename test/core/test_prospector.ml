@@ -552,7 +552,10 @@ let test_lp_proof_budget_too_small () =
    instances (uniform 200 m x 200 m layout, radio range 1.25x the minimum
    connecting range, Gaussian field, budget 1.2x the minimum-bandwidth
    collection cost).  A count that moves is a solver behaviour change:
-   pricing, ratio test, degeneracy handling or the warm-start path. *)
+   pricing, ratio test, degeneracy handling, the crash start or the
+   warm-start path.  The LP+LF counts come in two kinds: its lowering
+   with the crash start removed, which runs the all-slack primal simplex
+   (a guard on the kernel itself), and the planner as it runs. *)
 let iteration_instance ~n ~n_samples ~k =
   let rng = Rng.create 20060403 in
   let layout = Sensor.Placement.uniform rng ~n ~width:200. ~height:200. () in
@@ -574,6 +577,12 @@ let iterations = function
   | Some s -> s.Lp.Revised.iterations
   | None -> Alcotest.fail "revised solver did not run"
 
+(* The LP+LF lowering at [budget] solved from the all-slack basis: its
+   crash start removed, as for an LP that states none. *)
+let all_slack inst ~budget =
+  Lp.Revised.solve
+    { (Prospector.Lp_lf.problem inst ~budget) with Lp.Problem.start = None }
+
 let test_pinned_iteration_counts () =
   List.iter
     (fun (n, n_samples, k, lp_no_lf, lp_lf) ->
@@ -584,18 +593,39 @@ let test_pinned_iteration_counts () =
         (iterations
            (Prospector.Lp_no_lf.plan topo cost samples ~budget)
              .Prospector.Lp_no_lf.lp_stats);
+      let inst = Prospector.Lp_lf.instance topo cost samples ~k in
       Alcotest.(check int)
-        (Printf.sprintf "lp+lf n=%d" n)
-        lp_lf
+        (Printf.sprintf "lp+lf n=%d all-slack" n)
+        lp_lf (all_slack inst ~budget).Lp.Revised.stats.iterations;
+      (* At 1.2x the budget row holds at the crash vertex: it is optimal. *)
+      Alcotest.(check int)
+        (Printf.sprintf "lp+lf n=%d crash" n)
+        0
         (iterations
            (Prospector.Lp_lf.plan topo cost samples ~budget ~k)
              .Prospector.Lp_lf.lp_stats))
     [ (50, 15, 10, 58, 245); (100, 30, 20, 132, 812) ];
-  (* Warm re-planning after a 1.05x budget move: cold from scratch, and
-     warm from the first solve's basis, which stays optimal. *)
+  (* A tight budget (0.5x the minimum-bandwidth cost) violates the budget
+     row at the crash vertex: the dual simplex finishes the solve, every
+     pivot a dual one, with no fallback to phase 1. *)
   let topo, cost, samples, budget =
     iteration_instance ~n:100 ~n_samples:30 ~k:20
   in
+  let tight =
+    match
+      (Prospector.Lp_lf.plan topo cost samples ~budget:(budget /. 1.2 *. 0.5)
+         ~k:20)
+        .Prospector.Lp_lf.lp_stats
+    with
+    | Some s -> s
+    | None -> Alcotest.fail "revised solver did not run"
+  in
+  Alcotest.(check (list int)) "tight crash: pivots, dual pivots, fallbacks"
+    [ 542; 542; 0 ]
+    [ tight.iterations; tight.dual_iterations; tight.dual_fallbacks ];
+  (* Warm re-planning after a 1.05x budget move: from scratch, and warm
+     from the first solve's basis, which stays optimal. *)
+  let inst = Prospector.Lp_lf.instance topo cost samples ~k:20 in
   let first = Prospector.Lp_lf.plan topo cost samples ~budget ~k:20 in
   let budget = 1.05 *. budget in
   let cold = Prospector.Lp_lf.plan topo cost samples ~budget ~k:20 in
@@ -603,29 +633,28 @@ let test_pinned_iteration_counts () =
     Prospector.Lp_lf.plan ?warm_start:first.Prospector.Lp_lf.basis topo cost
       samples ~budget ~k:20
   in
-  Alcotest.(check int) "cold re-solve" 812
+  let slack = all_slack inst ~budget in
+  Alcotest.(check int) "cold re-solve" 812 slack.Lp.Revised.stats.iterations;
+  Alcotest.(check int) "crash re-solve" 0
     (iterations cold.Prospector.Lp_lf.lp_stats);
   Alcotest.(check int) "warm re-solve" 0
     (iterations warm.Prospector.Lp_lf.lp_stats);
   Alcotest.(check (float 0.)) "warm objective equals cold"
-    cold.Prospector.Lp_lf.lp_objective warm.Prospector.Lp_lf.lp_objective
+    cold.Prospector.Lp_lf.lp_objective warm.Prospector.Lp_lf.lp_objective;
+  Alcotest.(check (float 1e-9)) "crash objective equals all-slack"
+    (-.slack.Lp.Revised.objective) cold.Prospector.Lp_lf.lp_objective
 
 (* The kernel's work counters are plain deterministic counts: identical
    across repeated solves and whether or not a trace sink is installed.
-   On the n=100 LP+LF instance the pivot-row BTRANs must stay
+   On the n=100 LP+LF instance solved from the all-slack basis (the
+   crash start solves it in 0 pivots) the pivot-row BTRANs must stay
    hypersparse: a full sweep would visit 2m steps per pivot. *)
 let test_kernel_work_counters () =
   let topo, cost, samples, budget =
     iteration_instance ~n:100 ~n_samples:30 ~k:20
   in
-  let stats () =
-    match
-      (Prospector.Lp_lf.plan topo cost samples ~budget ~k:20)
-        .Prospector.Lp_lf.lp_stats
-    with
-    | Some s -> s
-    | None -> Alcotest.fail "revised solver did not run"
-  in
+  let inst = Prospector.Lp_lf.instance topo cost samples ~k:20 in
+  let stats () = (all_slack inst ~budget).Lp.Revised.stats in
   let counts (s : Lp.Revised.stats) =
     [ s.iterations; s.ftran_steps; s.ftran_etas; s.btran_steps;
       s.btran_etas; s.lu_nnz ]

@@ -267,6 +267,108 @@ let test_counters_exact () =
   Alcotest.(check bool) "the chain ran dual pivots" true
     (List.exists (fun l -> List.nth l 2 > 0) first)
 
+(* The LP column of each node's bandwidth in an [Lp_lf.lp_model] model,
+   from its variable names ("b<node>"); -1 for the root. *)
+let bandwidth_columns n model =
+  let cols = Array.make n (-1) in
+  for v = 0 to Lp.Model.n_vars model - 1 do
+    let nm = Lp.Model.var_name model (Lp.Model.var_of_index model v) in
+    if String.length nm > 1 && Char.equal nm.[0] 'b' then
+      Option.iter
+        (fun node -> cols.(node) <- v)
+        (int_of_string_opt (String.sub nm 1 (String.length nm - 1)))
+  done;
+  cols
+
+let same_bits a b =
+  Array.length a = Array.length b
+  && Array.for_all2
+       (fun x y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y))
+       a b
+
+(* The crash start against the all-slack basis, on LP+LF instances of
+   the full window and of the guarantee ladder's planning half, at
+   budgets 0.3x to 1.2x the minimum-bandwidth cost, under random alive
+   masks.  Each crash-started solve must be certified optimal with the
+   all-slack solve's objective (to 1e-9 relative).  The start travels
+   with the lowering: the instance's patched problem and a freshly built
+   [lp_model] of the same mask start alike and end bit for bit alike,
+   and rounding that solve gives [Lp_lf.plan]'s plan.  The start is dual
+   feasible under every mask, so each solve is either 0 pivots (the
+   budget row holds: 11 of the 32 cases) or all dual pivots (21), with
+   no fallback to phase 1. *)
+let test_crash_start () =
+  let cases = ref 0 and no_pivot = ref 0 and dual = ref 0 in
+  let fallbacks = ref 0 in
+  List.iter
+    (fun (seed, n, n_samples, k) ->
+      let topo, cost, samples, anchor, rng =
+        deployment ~seed ~n ~n_samples ~k
+      in
+      let half =
+        Sampling.Sample_set.slice samples ~offset:0 ~count:(n_samples / 2)
+      in
+      List.iter
+        (fun (window, label) ->
+          let inst = Prospector.Lp_lf.instance topo cost window ~k in
+          List.iter
+            (fun f ->
+              let what = Printf.sprintf "seed %d n=%d %s %.1fx" seed n label f in
+              let budget = f *. anchor in
+              let alive = random_alive rng topo in
+              let p = Prospector.Lp_lf.problem ?alive inst ~budget in
+              let crash = Lp.Revised.solve p in
+              let slack = Lp.Revised.solve { p with Lp.Problem.start = None } in
+              if not (crash.status = Lp.Revised.Optimal
+                      && slack.status = Lp.Revised.Optimal)
+              then Alcotest.failf "%s: not optimal" what;
+              let rep =
+                Lp.Certify.certify_optimal p ~x:crash.x ~duals:crash.duals
+              in
+              if not rep.Lp.Certify.certified then
+                Alcotest.failf "%s: crash optimum not certified" what;
+              if not (rel_close crash.objective slack.objective) then
+                Alcotest.failf "%s: crash %.17g vs all-slack %.17g" what
+                  crash.objective slack.objective;
+              let s = crash.stats in
+              dual_ends_optimal ~what s;
+              incr cases;
+              if s.iterations = 0 then incr no_pivot;
+              if s.dual_iterations > 0 then incr dual;
+              if s.iterations <> s.dual_iterations then
+                Alcotest.failf "%s: %d primal pivots from a dual feasible start"
+                  what (s.iterations - s.dual_iterations);
+              fallbacks := !fallbacks + s.dual_fallbacks;
+              let model =
+                Prospector.Lp_lf.lp_model ?alive topo cost window ~budget ~k
+              in
+              let replay = Lp.Revised.solve (Lp.Model.to_problem model) in
+              if not (same_bits crash.x replay.x) then
+                Alcotest.failf "%s: lp_model's lowering solves differently" what;
+              let fractional =
+                Array.map
+                  (fun c -> if c < 0 then 0. else replay.x.(c))
+                  (bandwidth_columns n model)
+              in
+              let planned =
+                Prospector.Lp_lf.plan ?alive topo cost window ~budget ~k
+              in
+              if not (same_bits fractional planned.fractional) then
+                Alcotest.failf "%s: replayed bandwidths differ from plan's" what;
+              let plan = Prospector.Plan.of_fractional topo fractional in
+              for i = 0 to n - 1 do
+                if Prospector.Plan.bandwidth plan i
+                   <> Prospector.Plan.bandwidth planned.plan i
+                then Alcotest.failf "%s: replayed plan differs at node %d" what i
+              done)
+            [ 0.3; 0.5; 0.7; 1.2 ])
+        [ (samples, "full"); (half, "half") ])
+    [ (20060403, 50, 15, 10); (7, 50, 15, 10); (20060403, 100, 30, 20);
+      (11, 100, 30, 20) ];
+  Alcotest.(check (list int)) "cases, no pivot, dual simplex, fallbacks"
+    [ 32; 11; 21; 0 ]
+    [ !cases; !no_pivot; !dual; !fallbacks ]
+
 let () =
   Alcotest.run "warm-dual"
     [
@@ -278,5 +380,7 @@ let () =
             test_dual_infeasible_token;
           Alcotest.test_case "dual counters are exact" `Quick
             test_counters_exact;
+          Alcotest.test_case "crash start against the all-slack basis" `Quick
+            test_crash_start;
         ] );
     ]

@@ -16,6 +16,7 @@ let base_problem () =
     upper = [| 1.; infinity |];
     rhs = [| 1. |];
     basis_hint = None;
+    start = None;
     shared = Lp.Problem.fresh_shared ();
   }
 
@@ -69,6 +70,8 @@ let test_validate_bad_hint () =
 
 (* Each invalid problem with the exact message [validate] raises: the
    messages are part of the interface, formatted only on failure. *)
+let start vars ncols = { Lp.Problem.vars; at_upper = Array.make ncols false }
+
 let test_validate_messages () =
   let b = base_problem in
   let unit_cols =
@@ -105,6 +108,18 @@ let test_validate_messages () =
           cols = [| Lp.Sparse_vec.of_assoc [ (0, 1.); (1, 1.) ]; Lp.Sparse_vec.of_assoc [ (0, 1.) ] |];
           nrows = 2; rhs = [| 1.; 1. |]; basis_hint = Some [| 0; -1 |] },
         "Problem: basis_hint column not a unit vector" );
+      ( { (b ()) with start = Some (start [| 0; 1 |] 2) },
+        "Problem: start has 2 basic entries for 1 rows" );
+      ( { (b ()) with start = Some (start [| 0 |] 1) },
+        "Problem: start has 1 bound flags for 2 columns" );
+      ( { (b ()) with start = Some (start [| 2 |] 2) },
+        "Problem: start row 0 has column 2 out of range" );
+      ( { (b ()) with start = Some (start [| -2 |] 2) },
+        "Problem: start row 0 has column -2 out of range" );
+      ( { (b ()) with
+          cols = [| Lp.Sparse_vec.of_assoc [ (0, 1.); (1, 1.) ]; Lp.Sparse_vec.of_assoc [ (0, 1.) ] |];
+          nrows = 2; rhs = [| 1.; 1. |]; start = Some (start [| 0; 0 |] 2) },
+        "Problem: start column 0 is basic in rows 0 and 1" );
     ]
   in
   List.iter
@@ -114,6 +129,25 @@ let test_validate_messages () =
       | exception Invalid_argument msg ->
           Alcotest.(check string) "message" expected msg)
     cases
+
+(* A start is checked on every copy that brings its own, also once the
+   shared matrix has passed, and the solver refuses a bad one instead of
+   solving from the all-slack basis. *)
+let test_validate_start_copies () =
+  let p = { (base_problem ()) with start = Some (start [| 1 |] 2) } in
+  Lp.Problem.validate p;
+  Lp.Problem.validate { p with start = Some (start [| -1 |] 2) };
+  let bad = { p with start = Some (start [| 5 |] 2) } in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument msg ->
+        Alcotest.(check string) what "Problem: start row 0 has column 5 out of range" msg
+  in
+  refused "validate" (fun () -> Lp.Problem.validate bad);
+  refused "solve" (fun () -> ignore (Lp.Revised.solve bad));
+  let r = Lp.Revised.solve p in
+  Alcotest.(check bool) "good start solves" true (r.Lp.Revised.status = Lp.Revised.Optimal)
 
 let test_problem_helpers () =
   let p = base_problem () in
@@ -438,6 +472,8 @@ let () =
           Alcotest.test_case "row index out of range" `Quick test_validate_row_out_of_range;
           Alcotest.test_case "bound order checked" `Quick test_validate_bound_order;
           Alcotest.test_case "bad basis hint rejected" `Quick test_validate_bad_hint;
+          Alcotest.test_case "bad start on a copy rejected" `Quick
+            test_validate_start_copies;
           Alcotest.test_case "exact validation messages" `Quick test_validate_messages;
           Alcotest.test_case "activity/objective/violation" `Quick test_problem_helpers;
         ] );

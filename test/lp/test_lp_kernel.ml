@@ -179,6 +179,7 @@ let random_lp rand ~m ~n =
           if j < n then 0.5 +. Random.State.float rand 3. else infinity);
     rhs = Array.init m (fun _ -> 1. +. Random.State.float rand 10.);
     basis_hint = None;
+    start = None;
     shared = Lp.Problem.fresh_shared ();
   }
 

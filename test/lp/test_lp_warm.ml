@@ -116,30 +116,37 @@ let test_warm_incompatible_ignored () =
   check_float "mismatched token ignored" cold.Lp.Model.objective
     warm.Lp.Model.objective
 
-(* The [Solve] span's [warm] attribute reports whether the warm path ran,
-   not whether a token was passed: a wrong-length token is a cold solve. *)
+(* The [Solve] span's [start] attribute names the path that ran, not
+   what was passed: a wrong-length token is ignored, for the problem's
+   start when it has one and the all-slack basis otherwise. *)
 let test_warm_span_attribute () =
   let prob = Lp.Model.to_problem (build_transport ~budget:6.) in
   let prior = (Lp.Revised.solve prob).Lp.Revised.basis in
-  let traced_warm basis =
+  let bad = { Lp.Revised.vars = [||]; at_upper = [||] } in
+  let with_start = { prob with Lp.Problem.start = Some prior } in
+  let traced_start ?basis prob =
     let sink = Obs.Trace.create () in
     Obs.Trace.install (Some sink);
     Fun.protect
       ~finally:(fun () -> Obs.Trace.install None)
-      (fun () -> ignore (Lp.Revised.solve ~basis prob));
+      (fun () -> ignore (Lp.Revised.solve ?basis prob));
     match Obs.Trace.events sink with
     | [ e ] -> (
-        match Obs.Trace.find_attr e "warm" with
-        | Some (Obs.Trace.Bool b) -> b
-        | _ -> Alcotest.fail "span lacks a boolean warm attribute")
+        match Obs.Trace.find_attr e "start" with
+        | Some (Obs.Trace.Str s) -> s
+        | _ -> Alcotest.fail "span lacks a string start attribute")
     | es -> Alcotest.failf "expected one span, got %d" (List.length es)
   in
   List.iter
-    (fun (label, basis, expected) ->
-      Alcotest.(check bool) label expected (traced_warm basis))
+    (fun (label, basis, prob, expected) ->
+      Alcotest.(check string) label expected (traced_start ?basis prob))
     [
-      ("wrong-length token", { Lp.Revised.vars = [||]; at_upper = [||] }, false);
-      ("previous solve's basis", prior, true);
+      ("no token, no start", None, prob, "cold");
+      ("wrong-length token", Some bad, prob, "cold");
+      ("previous solve's basis", Some prior, prob, "warm");
+      ("no token, the problem's start", None, with_start, "crash");
+      ("wrong-length token, the problem's start", Some bad, with_start, "crash");
+      ("token before the problem's start", Some prior, with_start, "warm");
     ]
 
 let warm_equals_cold_random =
