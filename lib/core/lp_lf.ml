@@ -323,7 +323,7 @@ let traced_plan ~topo ~budget ~k f =
 
 (* A certified LP solution at [budget] as a planner result: the
    bandwidth columns rounded to a plan, the budget row's dual. *)
-let of_solution inst ~budget (sol : Lp.Model.solution) ~provenance ~report =
+let of_solution inst ~budget (sol : Lp.Model.solution) ~report =
   let topo = inst.topo in
   let n = topo.Sensor.Topology.n and root = topo.Sensor.Topology.root in
   let fractional = Array.make n 0. in
@@ -342,7 +342,7 @@ let of_solution inst ~budget (sol : Lp.Model.solution) ~provenance ~report =
     fractional;
     budget_shadow_price;
     basis = sol.Lp.Model.basis;
-    provenance;
+    provenance = Robust_plan.Certified_revised;
     certify = Some report;
     guarantee = None;
     lp_budget = budget;
@@ -389,17 +389,16 @@ let solve_lp ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline inst
       }
   | Ok r ->
       of_solution inst ~budget r.Robust_plan.solution
-        ~provenance:r.Robust_plan.provenance ~report:r.Robust_plan.report
+        ~report:r.Robust_plan.report
 
 (* ---- budget segments ---- *)
 
+(* Only a certified LP solution carries a basis. *)
 let segment inst (r : result) =
-  match (r.provenance, r.basis) with
-  | Robust_plan.Certified_revised, Some token ->
+  Option.bind r.basis (fun token ->
       Lp.Model.range
         ~problem:(patched ~who:"Lp_lf.segment" inst ~budget:r.lp_budget)
-        inst.model token ~row:inst.budget_row
-  | _ -> None
+        inst.model token ~row:inst.budget_row)
 
 let solve_segment inst seg ~budget =
   let who = "Lp_lf.solve_segment" in
@@ -407,10 +406,7 @@ let solve_segment inst seg ~budget =
   let problem = patched ~who inst ~budget in
   match Lp.Model.affine_certified ~problem inst.model seg with
   | Error _ -> None
-  | Ok (sol, report) ->
-      Some
-        (of_solution inst ~budget sol ~provenance:Robust_plan.Certified_revised
-           ~report)
+  | Ok (sol, report) -> Some (of_solution inst ~budget sol ~report)
 
 (* The LP depends on a window only through its ones. *)
 let same_ones (a : Sampling.Sample_set.t) (b : Sampling.Sample_set.t) =

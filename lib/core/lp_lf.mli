@@ -41,7 +41,8 @@ type result = {
           call over the same topology and sample-set shape (e.g. a re-plan
           with a perturbed budget) to reuse this solve's final basis *)
   provenance : Robust_plan.provenance;
-      (** which stage of the certified fallback chain produced the plan *)
+      (** whether the plan came from a certified LP solution or the greedy
+          fallback *)
   certify : Lp.Certify.report option;
       (** the PR-3 certification that admitted the LP solution; [None] for
           the greedy fallback (which makes no LP claim) *)
@@ -82,7 +83,7 @@ val plan :
 
     [warm_start] is best-effort:
     incompatible tokens are ignored.  [max_lp_iterations]/[lp_deadline]
-    bound the LP stages; when both fail certification the plan is the
+    bound the LP solve; when it is not certified the plan is the
     greedy selection shipped without local filtering (provenance
     {!Robust_plan.Fell_back_greedy}) and the call never raises on solver
     failure.
@@ -121,12 +122,12 @@ val instance :
     @raise Invalid_argument if [k < 1]. *)
 
 val problem : ?alive:bool array -> instance -> budget:float -> Lp.Problem.t
-(** The lowered LP that {!solve} hands to every stage of the certified
-    chain at this [budget] and [alive] mask: the instance's lowering with
-    the budget row's right-hand side and the dead nodes' activation
-    bounds patched, and under a mask the crash start for that mask; the
-    matrix is shared.  For diagnostics and external
-    certification, like {!lp_model}. *)
+(** The lowered LP that {!solve} hands to the certified solve
+    ({!Robust_plan.solve}) at this [budget] and [alive] mask: the
+    instance's lowering with the budget row's right-hand side and the
+    dead nodes' activation bounds patched, and under a mask the crash
+    start for that mask; the matrix is shared.  For diagnostics and
+    external certification, like {!lp_model}. *)
 
 val solve :
   ?alive:bool array ->
@@ -138,13 +139,13 @@ val solve :
   budget:float ->
   result
 (** {!plan} on the instance's topology, costs, window and [k]: the same
-    result, bit for bit, with the same options.  Every stage of the
-    certified chain, the dense reference included, solves the LP at this
-    [budget] and [alive] mask.  With [guarantee], the escalation ladder
-    re-solves every rung from one instance of its planning half-window;
-    the instance keeps that half-window instance, so every guarantee
-    solve of one instance builds it at most once.  Building an instance
-    emits an [lp_lf.instance] trace span (rows, cols, samples). *)
+    result, bit for bit, with the same options.  The certified solve
+    takes the LP at this [budget] and [alive] mask.  With [guarantee],
+    the escalation ladder re-solves every rung from one instance of its
+    planning half-window; the instance keeps that half-window instance,
+    so every guarantee solve of one instance builds it at most once.
+    Building an instance emits an [lp_lf.instance] trace span (rows,
+    cols, samples). *)
 
 val lp_model :
   ?alive:bool array ->

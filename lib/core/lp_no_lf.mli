@@ -24,7 +24,8 @@ type result = {
   basis : Lp.Model.basis option;
       (** warm-start token for re-planning the same-shaped LP *)
   provenance : Robust_plan.provenance;
-      (** which stage of the certified fallback chain produced the plan *)
+      (** whether the plan came from a certified LP solution or the greedy
+          fallback *)
 }
 
 val plan :
@@ -37,6 +38,6 @@ val plan :
   budget:float ->
   result
 (** [warm_start] is best-effort: incompatible tokens are ignored.
-    [max_lp_iterations]/[lp_deadline] bound the LP stages; when both
-    stages fail certification the plan comes from {!Greedy} (see
+    [max_lp_iterations]/[lp_deadline] bound the LP solve; when it yields
+    no certified solution the plan comes from {!Greedy} (see
     {!Robust_plan}) and the call never raises on solver failure. *)

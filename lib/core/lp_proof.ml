@@ -228,5 +228,5 @@ let plan ?warm_start ?max_lp_iterations ?lp_deadline topo cost samples ~budget
       (sol.Lp.Model.objective -. !bonus) /. float_of_int n_samples;
     lp_stats = sol.Lp.Model.stats;
     basis = sol.Lp.Model.basis;
-    provenance = r.Robust_plan.provenance;
+    provenance = Robust_plan.Certified_revised;
   }

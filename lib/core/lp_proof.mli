@@ -26,7 +26,8 @@ type result = {
   basis : Lp.Model.basis option;
       (** warm-start token for re-planning the same-shaped LP *)
   provenance : Robust_plan.provenance;
-      (** which stage of the certified fallback chain produced the plan *)
+      (** whether the plan came from a certified LP solution or the
+          fallback *)
 }
 
 exception Budget_too_small of float
@@ -44,8 +45,8 @@ val plan :
   k:int ->
   result
 (** [warm_start] is best-effort: incompatible tokens are ignored.
-    [max_lp_iterations]/[lp_deadline] bound the LP stages; when both fail
-    certification the result is the minimum proof plan (bandwidth 1 on
+    [max_lp_iterations]/[lp_deadline] bound the LP solve; when it is not
+    certified the result is the minimum proof plan (bandwidth 1 on
     every edge, always executable and affordable past the
     {!Budget_too_small} gate) with provenance
     {!Robust_plan.Fell_back_greedy}. *)

@@ -89,7 +89,7 @@ type refusal =
   | Floor_below_threshold of { floor : float; threshold : float }
       (** the degraded certified floor fell below [min_floor] *)
   | Uncertified
-      (** no LP stage could be certified; a greedy repair is never
+      (** the LP solve was not certified; a greedy repair is never
           worth an install *)
 
 type outcome =

@@ -73,7 +73,7 @@ val consider :
     A candidate must beat the incumbent by [min_gain] expected accuracy
     {e and} offer a per-run energy headroom that repays the install cost
     within [amortization_runs] executions.  A candidate whose provenance is
-    {!Robust_plan.Fell_back_greedy} (no LP stage could be certified, e.g.
+    {!Robust_plan.Fell_back_greedy} (the LP solve was not certified, e.g.
     under a crippled [max_lp_iterations]/[lp_deadline]) is never
     disseminated: the answer is always [Kept] and the stored warm-start
     token survives for the next certified solve.

@@ -1,14 +1,10 @@
-let src = Logs.Src.create "prospector.robust" ~doc:"Certified LP fallback chain"
+let src = Logs.Src.create "prospector.robust" ~doc:"Certified LP solve"
 
 module Log = (val Logs.src_log src : Logs.LOG)
 
-type provenance = Certified_revised | Certified_dense | Fell_back_greedy
+type provenance = Certified_revised | Fell_back_greedy
 
-type lp_result = {
-  solution : Lp.Model.solution;
-  report : Lp.Certify.report;
-  provenance : provenance;
-}
+type lp_result = { solution : Lp.Model.solution; report : Lp.Certify.report }
 
 type failure =
   | Proved_infeasible of Lp.Certify.report
@@ -27,37 +23,23 @@ let solve ?warm_start ?max_iterations ?deadline ?problem model =
     | Some b when not (Lp.Model.basis_compatible model b) -> None
     | w -> w
   in
-  let sol, report =
+  let solution, report =
     Lp.Model.solve_certified ?warm_start ?max_iterations ?deadline ?problem
       model
   in
   if report.Lp.Certify.certified then
-    match sol.Lp.Model.status with
-    | Lp.Model.Optimal ->
-        Ok { solution = sol; report; provenance = Certified_revised }
+    match solution.Lp.Model.status with
+    | Lp.Model.Optimal -> Ok { solution; report }
     | Lp.Model.Infeasible -> Error (Proved_infeasible report)
     | Lp.Model.Unbounded -> Error (Proved_unbounded report)
     | Lp.Model.Iteration_limit ->
         (* [solve_certified] rejects limit statuses outright. *)
         assert false
   else begin
-    let revised_reasons = report.Lp.Certify.reasons in
     Log.warn (fun m ->
-        m "revised solve not certified (%s); retrying with the dense reference"
-          (String.concat "; " revised_reasons));
-    let dsol, dreport =
-      Lp.Model.solve_dense_certified ?max_pivots:max_iterations ?problem model
-    in
-    if dreport.Lp.Certify.certified then
-      Ok { solution = dsol; report = dreport; provenance = Certified_dense }
-    else begin
-      Log.warn (fun m ->
-          m "dense solve not certified either (%s); planner must fall back"
-            (String.concat "; " dreport.Lp.Certify.reasons));
-      Error
-        (No_certified_solution
-           (revised_reasons @ dreport.Lp.Certify.reasons))
-    end
+        m "revised solve not certified (%s); planner must fall back"
+          (String.concat "; " report.Lp.Certify.reasons));
+    Error (No_certified_solution report.Lp.Certify.reasons)
   end
 
 (* ---- planning to a certified (eps, delta) target ---- *)
@@ -142,12 +124,10 @@ let plan_with_guarantee ?(max_escalations = 6) ?(growth = 1.5) ~eps ~delta
 let provenance_equal a b =
   match (a, b) with
   | Certified_revised, Certified_revised
-  | Certified_dense, Certified_dense
   | Fell_back_greedy, Fell_back_greedy ->
       true
-  | (Certified_revised | Certified_dense | Fell_back_greedy), _ -> false
+  | (Certified_revised | Fell_back_greedy), _ -> false
 
 let pp_provenance ppf = function
   | Certified_revised -> Format.pp_print_string ppf "certified-revised"
-  | Certified_dense -> Format.pp_print_string ppf "certified-dense"
   | Fell_back_greedy -> Format.pp_print_string ppf "fell-back-greedy"

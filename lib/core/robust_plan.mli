@@ -1,32 +1,28 @@
-(** Certified LP solving with a fallback chain (robustness layer).
+(** Certified LP solving: revised or refuse (robustness layer).
 
-    The LP planners treat the simplex solvers as untrusted components:
+    The LP planners treat the simplex solver as an untrusted component:
     every claimed solution is re-checked by {!Lp.Certify} against nothing
-    but the problem data, and a failed check triggers a fallback instead of
-    a crash or a silently wrong plan.  The chain is
+    but the problem data, and a failed check refuses the claim instead of
+    crashing or shipping a silently wrong plan.  The chain is
 
-    {v revised simplex -> certify -> dense tableau -> certify -> greedy v}
+    {v revised simplex -> certify -> greedy v}
 
     where the greedy step lives in the individual planners (it needs
-    planner-specific inputs); this module covers the two LP stages and
-    tells the planner, via {!provenance}, which stage produced the answer
-    it is about to ship. *)
+    planner-specific inputs); this module covers the LP stage.  A planner
+    records where its plan came from in a {!provenance}. *)
 
 type provenance =
   | Certified_revised
-      (** the revised simplex solution passed independent certification *)
-  | Certified_dense
-      (** the revised solution failed certification (or hit its budget);
-          the dense reference tableau's solution passed instead *)
+      (** the revised simplex solution passed independent certification:
+          primal and dual feasibility and the duality gap *)
   | Fell_back_greedy
-      (** neither LP stage produced a certified solution; the planner used
+      (** the LP stage produced no certified solution; the planner used
           its combinatorial greedy fallback.  Never disseminated by
-          {!Replan}. *)
+          {!Replan} nor served. *)
 
 type lp_result = {
-  solution : Lp.Model.solution;
+  solution : Lp.Model.solution;  (** an optimal solution *)
   report : Lp.Certify.report;  (** the certification that admitted it *)
-  provenance : provenance;  (** {!Certified_revised} or {!Certified_dense} *)
 }
 
 type failure =
@@ -35,8 +31,9 @@ type failure =
   | Proved_unbounded of Lp.Certify.report
       (** the model is unbounded, with a certified improving ray *)
   | No_certified_solution of string list
-      (** neither solver produced a certifiable claim; the reasons from
-          both certification attempts, in chain order *)
+      (** the revised solver produced no certifiable claim (an
+          iteration or time limit, or a claim that failed its check);
+          the certification's reasons *)
 
 val solve :
   ?warm_start:Lp.Model.basis ->
@@ -45,20 +42,24 @@ val solve :
   ?problem:Lp.Problem.t ->
   Lp.Model.t ->
   (lp_result, failure) result
-(** Run the chain on a model.  [max_iterations] caps the revised solver's
-    pivots and the dense solver's total pivots alike (so tests can cripple
-    both stages); [deadline] is a wall-clock budget for the revised stage.
-    [warm_start] is validated against the model with the LP layer's shared
-    {!Lp.Model.basis_compatible} predicate — the single implementation of
-    the shape rule for every planner routing through this chain ([Replan],
-    [Repair], the serving layer's warm-basis pool); an incompatible token
-    is dropped and the solve starts cold.  [problem] is the model's
-    lowering with patched right-hand sides or bounds
-    ({!Lp.Model.solve_certified}); both stages solve that patched LP, so a
-    re-solve never falls back to the model's build-time data.  Never
-    raises on solver failure: the worst outcome is
-    [Error (No_certified_solution _)], which a planner answers with its
-    greedy fallback. *)
+(** Solve a model with the revised simplex and certify the claim: [Ok]
+    a certified optimum; [Error] a certified infeasibility or
+    unboundedness, or [No_certified_solution] for anything else.  No
+    other solver is tried.  [max_iterations] caps the revised solver's
+    pivots (so tests can cripple it); [deadline] is a wall-clock budget
+    in seconds for the revised solver, and so for the whole chain: a
+    solve it stops is refused ([No_certified_solution]) with no other
+    solver run after it.  [warm_start] is validated against the
+    model with the LP layer's shared {!Lp.Model.basis_compatible}
+    predicate — the single implementation of the shape rule for every
+    planner routing through here ([Replan], [Repair], the serving
+    layer's warm-basis pool); an incompatible token is dropped and the
+    solve starts cold.  [problem] is the model's lowering with patched
+    right-hand sides or bounds ({!Lp.Model.solve_certified}); the solve
+    and its certification use it, so a re-solve never falls back to the
+    model's build-time data.  Never raises on solver failure: the worst
+    outcome is [Error (No_certified_solution _)], which a planner answers
+    with its greedy fallback. *)
 
 val provenance_equal : provenance -> provenance -> bool
 (** Structural equality on {!provenance} (avoids polymorphic [=]). *)

@@ -110,5 +110,5 @@ let plan_by_colsum ?warm_start ?max_lp_iterations ?lp_deadline topo cost
     lp_objective = sol.Lp.Model.objective;
     lp_stats = sol.Lp.Model.stats;
     basis = sol.Lp.Model.basis;
-    provenance = r.Robust_plan.provenance;
+    provenance = Robust_plan.Certified_revised;
   }

@@ -10,7 +10,8 @@ type result = {
   basis : Lp.Model.basis option;
       (** warm-start token for re-planning the same-shaped LP *)
   provenance : Robust_plan.provenance;
-      (** which stage of the fallback chain produced [chosen] *)
+      (** whether [chosen] came from a certified LP solution or the
+          greedy fallback *)
 }
 
 val plan_by_colsum :
@@ -24,7 +25,7 @@ val plan_by_colsum :
   result
 (** Solve the relaxation through the {!Robust_plan} certified chain, round
     at 1/2, then spend leftover budget on the most fractional remaining
-    nodes.  When no LP stage yields a certified solution (e.g. a crippled
+    nodes.  When the LP solve yields no certified solution (e.g. a crippled
     [max_lp_iterations] or exhausted [lp_deadline]) the node selection
     comes from {!Greedy.fallback} instead and [provenance] says
     so — the function never raises on solver failure.  [warm_start] is

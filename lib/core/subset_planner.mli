@@ -15,7 +15,8 @@ type result = {
   lp_objective : float;
   lp_stats : Lp.Revised.stats option;
   provenance : Robust_plan.provenance;
-      (** which stage of the certified fallback chain produced the plan *)
+      (** whether the plan came from a certified LP solution or the greedy
+          fallback *)
 }
 
 val plan :
@@ -27,5 +28,5 @@ val plan :
   budget:float ->
   result
 (** The root's own reading is always available and is never planned for.
-    [max_lp_iterations]/[lp_deadline] bound the LP stages (see
+    [max_lp_iterations]/[lp_deadline] bound the LP solve (see
     {!Robust_plan}); the call never raises on solver failure. *)

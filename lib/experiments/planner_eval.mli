@@ -8,7 +8,7 @@ val lp_no_lf :
 
 val lp_lf :
   ?lp_iterations:int -> Setup.t -> budget:float -> Prospector.Evaluate.point
-(** [lp_iterations] caps the LP solver stages (see
+(** [lp_iterations] caps the LP solver's pivots (see
     {!Prospector.Robust_plan}); a crippled budget exercises the planner's
     greedy fallback while still returning a measured point. *)
 

@@ -1,11 +1,10 @@
 (** Independent certification of LP solver results.
 
     The revised simplex ({!Revised}) maintains a factorized basis inverse
-    that can drift numerically; the dense reference ({!Dense_simplex})
-    re-derives everything per pivot but carries no proof either.  This
-    module re-checks a claimed result against nothing but the problem data
-    — never the solver's internal state — so a caller can treat both
-    solvers as untrusted components.
+    that can drift numerically, and its claims carry no proof of their
+    own.  This module re-checks a claimed result against nothing but the
+    problem data — never the solver's internal state — so a caller can
+    treat the solver as an untrusted component.
 
     All residuals are {e scaled} (backward-error style): a row residual is
     divided by [1 + |rhs_i| + sum_j |a_ij x_j|], a reduced-cost violation
@@ -39,9 +38,9 @@ val certify_optimal :
     Defaults: [feas_tol = 1e-6], [opt_tol = 1e-6]. *)
 
 val certify_feasible : ?feas_tol:float -> Problem.t -> x:float array -> report
-(** Primal feasibility only ([Ax = b] and bounds); used for solutions
-    that come without duals (the dense reference solver).  The dual fields
-    of the report are zero. *)
+(** Primal feasibility only ([Ax = b] and bounds), for a point that
+    comes without duals ({!certify_unbounded} checks a ray's base point
+    with it).  The dual fields of the report are zero. *)
 
 val certify_infeasible : ?tol:float -> Problem.t -> farkas:float array -> report
 (** Check a Farkas-style infeasibility certificate [y]: writing

@@ -297,7 +297,7 @@ let basis_shape b = (b.b_nvars, b.b_nrows)
    column [v] and row [i]'s slack to column [nvars + i], so (nvars, nrows)
    equality is exactly what makes a basis portable across solves (and
    across freshly built models of the same shape).  Every consumer of a
-   warm-start token — [solve] itself, the certified fallback chain, the
+   warm-start token — [solve] itself, the certified solve, the
    serving layer's warm-basis pool — must route through this one
    implementation instead of re-deriving the shape check. *)
 let basis_compatible t b = b.b_nvars = t.nvars && b.b_nrows = t.nrows
@@ -349,101 +349,6 @@ let solve_raw ?max_iterations ?deadline ?bland_after ?warm_start ?problem t =
     }
   in
   (prob, res, sol)
-
-(* ---- lowering to the dense reference solver ----
-   The dense solver only supports x >= 0, so general bounds are compiled
-   away: finite lower bounds by shifting, finite upper bounds by extra rows,
-   free variables by splitting into a difference of non-negatives. *)
-
-let solve_dense ?max_pivots t prob =
-  (* The revised path validates inside [Revised.solve]; the dense lowering
-     bypasses it, so validate the lowered form here for the same guarantee
-     (descriptive rejection of NaN/inf data instead of a garbage tableau).
-     Bounds and right-hand sides come from [prob], which may patch the
-     model's. *)
-  Problem.validate prob;
-  let n = t.nvars in
-  let lower = prob.Problem.lower and upper = prob.Problem.upper in
-  (* Variable v maps to column pos.(v); free variables additionally own a
-     negative part at column neg.(v). *)
-  let pos = Array.make n (-1) and neg = Array.make n (-1) in
-  let ncols = ref 0 in
-  let shift = Array.make n 0. in
-  for v = 0 to n - 1 do
-    pos.(v) <- !ncols;
-    incr ncols;
-    if lower.(v) = neg_infinity then begin
-      neg.(v) <- !ncols;
-      incr ncols
-    end
-    else shift.(v) <- lower.(v)
-  done;
-  let obj = Array.make !ncols 0. in
-  let const = ref 0. in
-  for v = 0 to n - 1 do
-    obj.(pos.(v)) <- t.objs.(v);
-    if neg.(v) >= 0 then obj.(neg.(v)) <- -.t.objs.(v);
-    const := !const +. (t.objs.(v) *. shift.(v))
-  done;
-  let lower_row terms rhs =
-    let row = Array.make !ncols 0. in
-    let c = ref rhs in
-    List.iter
-      (fun (a, v) ->
-        row.(pos.(v)) <- row.(pos.(v)) +. a;
-        if neg.(v) >= 0 then row.(neg.(v)) <- row.(neg.(v)) -. a;
-        c := !c -. (a *. shift.(v)))
-      terms;
-    (row, !c)
-  in
-  let rows = ref [] in
-  List.iteri
-    (fun i r ->
-      let row, rhs = lower_row r.terms prob.Problem.rhs.(i) in
-      let sense =
-        match r.sense with
-        | Le -> Dense_simplex.Le
-        | Ge -> Dense_simplex.Ge
-        | Eq -> Dense_simplex.Eq
-      in
-      rows := (row, sense, rhs) :: !rows)
-    (List.rev t.rows);
-  (* Materialize finite upper bounds. *)
-  for v = 0 to n - 1 do
-    if upper.(v) < infinity then begin
-      let row, rhs = lower_row [ (1., v) ] upper.(v) in
-      rows := (row, Dense_simplex.Le, rhs) :: !rows
-    end
-  done;
-  let res =
-    Dense_simplex.solve
-      ~maximize:(t.dir = Maximize)
-      ?max_pivots ~obj
-      ~constraints:(Array.of_list (List.rev !rows))
-      ()
-  in
-  let status =
-    match res.Dense_simplex.status with
-    | Dense_simplex.Optimal -> Optimal
-    | Dense_simplex.Infeasible -> Infeasible
-    | Dense_simplex.Unbounded -> Unbounded
-    | Dense_simplex.Iteration_limit -> Iteration_limit
-  in
-  let values = Array.make n 0. in
-  if status = Optimal then
-    for v = 0 to n - 1 do
-      let x = res.Dense_simplex.x.(pos.(v)) in
-      let x = if neg.(v) >= 0 then x -. res.Dense_simplex.x.(neg.(v)) else x in
-      values.(v) <- x +. shift.(v)
-    done;
-  {
-    status;
-    objective = (if status = Optimal then res.Dense_simplex.objective +. !const else 0.);
-    values;
-    stats = None;
-    row_duals = None;
-    basis = None;
-  }
 
 let solve ?max_iterations ?deadline ?bland_after ?warm_start t =
   let _, _, sol =
@@ -537,31 +442,4 @@ let solve_certified ?max_iterations ?deadline ?bland_after ?warm_start
         ("duality_gap", Obs.Trace.Float report.Certify.duality_gap);
       ]
   end;
-  (sol, report)
-
-let solve_dense_certified ?max_pivots ?problem t =
-  let prob = lowered ?problem t in
-  let sol = solve_dense ?max_pivots t prob in
-  let report =
-    match sol.status with
-    | Optimal ->
-        (* The dense lowering discards duals, so only primal feasibility is
-           independently checkable.  Reconstruct the slack block: row [i]'s
-           slack is its residual [rhs_i - (A x)_i]. *)
-        let full = Array.make (t.nvars + t.nrows) 0. in
-        Array.blit sol.values 0 full 0 t.nvars;
-        List.iteri
-          (fun i r ->
-            let act =
-              List.fold_left
-                (fun acc (c, v) -> acc +. (c *. sol.values.(v)))
-                0. r.terms
-            in
-            full.(t.nvars + i) <- prob.Problem.rhs.(i) -. act)
-          (List.rev t.rows);
-        Certify.certify_feasible prob ~x:full
-    | Infeasible -> Certify.reject "dense solver reported infeasible (no certificate)"
-    | Unbounded -> Certify.reject "dense solver reported unbounded (no certificate)"
-    | Iteration_limit -> Certify.reject "dense pivot budget exhausted"
-  in
   (sol, report)

@@ -2,9 +2,8 @@
 
     Variables carry optional bounds and objective coefficients; constraints
     are linear expressions compared to a constant.  [solve] lowers the model
-    to a {!Problem.t} and runs the sparse {!Revised} simplex;
-    {!solve_dense_certified} runs the independent {!Dense_simplex}
-    reference instead. *)
+    to a {!Problem.t} and runs the sparse {!Revised} simplex, the only
+    solver here; {!solve_certified} re-checks its claim with {!Certify}. *)
 
 type t
 
@@ -48,7 +47,7 @@ val basis_shape : basis -> int * int
 val basis_compatible : t -> basis -> bool
 (** Whether the token fits this model.  This is the single
     basis-compatibility predicate: {!solve} consults it before using a
-    [?warm_start], the certified fallback chain ([Robust_plan.solve], and
+    [?warm_start], the certified solve ([Robust_plan.solve], and
     through it every planner: [Replan], [Repair], the serving layer) drops
     incompatible tokens with it. *)
 
@@ -56,15 +55,14 @@ type solution = {
   status : status;
   objective : float;  (** in the model's direction (not negated) *)
   values : float array;  (** indexed by {!var_index} *)
-  stats : Revised.stats option;  (** present when the revised solver ran *)
+  stats : Revised.stats option;
+      (** present when the revised solver ran (not for an
+          {!affine_certified} point) *)
   row_duals : float array option;
       (** shadow prices, one per constraint in insertion order: the
           marginal change of the objective (in the model's direction) per
-          unit increase of that constraint's right-hand side.  Present when
-          the revised solver ran. *)
-  basis : basis option;
-      (** warm-start token for a subsequent solve; present when the revised
-          solver ran *)
+          unit increase of that constraint's right-hand side *)
+  basis : basis option;  (** warm-start token for a subsequent solve *)
 }
 
 val create : ?direction:direction -> unit -> t
@@ -219,17 +217,6 @@ val affine_certified :
     segment's token) and its report, or [Error] the failing report.  A
     right-hand side outside {!segment_bounds} fails unless within the
     certifier's tolerance.  Emits an [lp.affine] [Solve] span. *)
-
-val solve_dense_certified :
-  ?max_pivots:int -> ?problem:Problem.t -> t -> solution * Certify.report
-(** Solve with the dense reference tableau and certify what it can claim:
-    the dense lowering carries no duals, so an [Optimal] result is checked
-    for primal feasibility only (bounds and constraint residuals of the
-    reconstructed full solution).  Non-optimal dense statuses are rejected
-    as uncertified.  [max_pivots] caps total pivots (tests).  [problem]
-    is as for {!solve_certified}: the dense lowering then takes its
-    right-hand sides and variable bounds from it, so both stages of a
-    fallback chain solve the same patched LP. *)
 
 val value : solution -> var -> float
 (** Value of a variable in a solution (0. unless [status = Optimal]). *)

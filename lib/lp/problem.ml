@@ -11,7 +11,6 @@ type matrix = {
   m_nrows : int;
   m_hint : int array option;
   m_start : basis option;  (* the start checked with the matrix *)
-  m_strict : bool;
   m_identity : Sparse_vec.t array;
   rows : rows option Atomic.t;
 }
@@ -33,14 +32,12 @@ type t = {
   shared : shared;
 }
 
-(* The shared entry of [t]'s matrix, if the checks it records cover
-   [strict]. *)
-let cached ~strict t =
+(* The shared entry of [t]'s matrix, if there is one. *)
+let cached t =
   match Atomic.get t.shared with
   | Some e
     when e.m_cols == t.cols && e.m_nrows = t.nrows
-         && Option.equal ( == ) e.m_hint t.basis_hint
-         && (e.m_strict || not strict) ->
+         && Option.equal ( == ) e.m_hint t.basis_hint ->
       Some e
   | Some _ | None -> None
 
@@ -50,7 +47,7 @@ let check c msg = if not c then invalid_arg ("Problem: " ^ msg)
    per-column checks costs a few float compares. *)
 let fail fmt = Printf.ksprintf (fun msg -> invalid_arg ("Problem: " ^ msg)) fmt
 
-let check_cols ~strict t =
+let check_cols t =
   Array.iteri
     (fun j col ->
       Sparse_vec.iter
@@ -59,9 +56,7 @@ let check_cols ~strict t =
             fail "column %d has row index %d >= nrows %d" j i t.nrows;
           if not (Float.is_finite a) then
             fail "column %d has non-finite coefficient %g at row %d" j a i)
-        col;
-      if strict && Sparse_vec.nnz col = 0 then
-        fail "column %d is empty (appears in no constraint)" j)
+        col)
     t.cols
 
 let check_hint t =
@@ -107,15 +102,15 @@ let check_start t =
    checked once per matrix, and so is the start the matrix was first
    checked with; bounds, objective, rhs and any other start on every
    call, since copies patch them. *)
-let matrix ?(strict = false) t =
+let matrix t =
   check (t.nrows >= 0 && t.ncols >= 0) "negative dimensions";
   check (Array.length t.cols = t.ncols) "cols length";
   check (Array.length t.obj = t.ncols) "obj length";
   check (Array.length t.lower = t.ncols) "lower length";
   check (Array.length t.upper = t.ncols) "upper length";
   check (Array.length t.rhs = t.nrows) "rhs length";
-  let hit = cached ~strict t in
-  if Option.is_none hit then check_cols ~strict t;
+  let hit = cached t in
+  if Option.is_none hit then check_cols t;
   for j = 0 to t.ncols - 1 do
     let lo = t.lower.(j) and hi = t.upper.(j) in
     if Float.is_nan lo || Float.is_nan hi then fail "NaN bound on column %d" j;
@@ -148,7 +143,6 @@ let matrix ?(strict = false) t =
           m_nrows = t.nrows;
           m_hint = t.basis_hint;
           m_start = t.start;
-          m_strict = strict;
           m_identity;
           rows = Atomic.make None;
         }
@@ -156,7 +150,7 @@ let matrix ?(strict = false) t =
       Atomic.set t.shared (Some e);
       e
 
-let validate ?strict t = ignore (matrix ?strict t)
+let validate t = ignore (matrix t)
 
 let with_identity e = e.m_identity
 

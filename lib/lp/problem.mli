@@ -51,17 +51,14 @@ type t = {
   shared : shared;
 }
 
-val validate : ?strict:bool -> t -> unit
+val validate : t -> unit
 (** Check structural invariants (array lengths, column heights, bound
     order, hint columns are unit vectors, the start's lengths, column
     range and distinct basic columns) and numerical sanity: every
     matrix coefficient, objective coefficient and rhs entry must be
     finite, bounds must not be NaN, no [lower > upper], no [lower = +inf]
-    or [upper = -inf].  With [strict] (default [false]), additionally
-    reject empty columns — variables appearing in no constraint are legal
-    LP-wise (and are handled by both solvers) but are almost always a
-    modelling bug in the planning LPs.  No solver path passes it; the
-    adversarial LP suite ([test_lp_adversarial]) is its only caller.
+    or [upper = -inf].  Empty columns (variables in no constraint) are
+    legal.
     @raise Invalid_argument with a descriptive message when an invariant
     is violated.
 
@@ -76,7 +73,7 @@ val validate : ?strict:bool -> t -> unit
 type matrix
 (** A validated matrix in the forms the revised simplex works on. *)
 
-val matrix : ?strict:bool -> t -> matrix
+val matrix : t -> matrix
 (** {!validate}, returning the problem's matrix: computed on the first
     call for these columns, shared afterwards. *)
 

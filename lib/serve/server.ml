@@ -61,7 +61,6 @@ let source_to_string = function
 type response = {
   plan : Prospector.Plan.t;
   objective : float;
-  provenance : Prospector.Robust_plan.provenance;
   certify : Lp.Certify.report;
   guarantee : Prospector.Guarantee.t option;
   source : source;
@@ -409,17 +408,16 @@ let commit_task t task { res; source; seg; dt } =
   match res with
   | Error msg -> Refused ("planner-exception: " ^ msg)
   | Ok (res : Prospector.Lp_lf.result) -> (
-      match (res.certify, res.provenance) with
-      | None, _ | _, Prospector.Robust_plan.Fell_back_greedy ->
-          Refused "uncertified: no LP stage passed certification"
-      | Some report, provenance -> (
+      match (res.provenance, res.certify) with
+      | Prospector.Robust_plan.Fell_back_greedy, _ | _, None ->
+          Refused "uncertified: the LP solve was not certified optimal"
+      | Prospector.Robust_plan.Certified_revised, Some report -> (
           deposit task res seg;
           let serve guarantee =
             let resp =
               {
                 plan = res.plan;
                 objective = res.lp_objective;
-                provenance;
                 certify = report;
                 guarantee;
                 source;

@@ -131,8 +131,9 @@ val source_to_string : source -> string
 type response = {
   plan : Prospector.Plan.t;
   objective : float;  (** LP objective (expected covered ones) *)
-  provenance : Prospector.Robust_plan.provenance;
-  certify : Lp.Certify.report;  (** always present: uncertified is refused *)
+  certify : Lp.Certify.report;
+      (** the optimality certificate of the LP solution the plan rounds
+          (always present: uncertified is refused) *)
   guarantee : Prospector.Guarantee.t option;
       (** present iff the query requested a target; always meets it *)
   source : source;

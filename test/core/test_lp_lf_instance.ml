@@ -274,33 +274,42 @@ let test_stale_cell_revised () =
   let again, _ = Lp.Revised.solve_factored ~basis:r1.basis ~cell p1 in
   check_results "own cell" again (Lp.Revised.solve ~basis:r1.basis p1)
 
-(* The dense stage of the chain, reached through an instance, solves the
-   patched LP: the instance was built at budget 0 with everyone alive,
-   and a dense solve of that would be a silent wrong answer. *)
-let test_dense_stage_patched () =
+(* An expired deadline on an instance re-solve refuses the LP, and the
+   greedy fallback plans at the patched budget and mask: the instance
+   was built at budget 0 with everyone alive, and a fallback planned
+   against that would be a silent wrong answer. *)
+let test_masked_deadline_falls_back () =
   let topo, cost, samples, anchor, rng =
     deployment ~seed:17 ~n:16 ~n_samples:8 ~k:3
   in
   let k = 3 in
   let inst = Prospector.Lp_lf.instance topo cost samples ~k in
+  let n = topo.Sensor.Topology.n and root = topo.Sensor.Topology.root in
   List.iter
     (fun factor ->
       let budget = anchor *. factor in
-      let alive = random_alive rng topo in
-      let healthy =
-        Prospector.Lp_lf.plan ?alive topo cost samples ~budget ~k
-      in
-      let r = Prospector.Lp_lf.solve ?alive ~lp_deadline:0. inst ~budget in
-      Alcotest.(check string) "dense stage" "certified-dense"
+      let alive = Array.init n (fun i -> i = root || Rng.int rng 4 > 0) in
+      let r = Prospector.Lp_lf.solve ~alive ~lp_deadline:0. inst ~budget in
+      Alcotest.(check string) "greedy fallback" "fell-back-greedy"
         (Format.asprintf "%a" Prospector.Robust_plan.pp_provenance
            r.provenance);
-      let scale = 1. +. Float.abs healthy.lp_objective in
-      if Float.abs (healthy.lp_objective -. r.lp_objective) > 1e-5 *. scale
-      then
-        Alcotest.failf "budget %g: dense %.9g vs revised %.9g" budget
-          r.lp_objective healthy.lp_objective;
-      if not (healthy.lp_objective > 1e-6) then
-        Alcotest.failf "budget %g: the optimum should be positive" budget)
+      let colsum =
+        Array.mapi
+          (fun i c -> if alive.(i) then c else 0)
+          samples.Sampling.Sample_set.colsum
+      in
+      let chosen, objective =
+        Prospector.Greedy.fallback topo cost ~colsum ~budget
+      in
+      let expected = Prospector.Plan.of_chosen topo chosen in
+      for i = 0 to n - 1 do
+        Alcotest.(check int)
+          (Printf.sprintf "budget %g: bandwidth at %d" budget i)
+          (Prospector.Plan.bandwidth expected i)
+          (Prospector.Plan.bandwidth r.plan i)
+      done;
+      Alcotest.(check int64) "greedy objective" (bits objective)
+        (bits r.lp_objective))
     [ 0.5; 1.; 1.7 ]
 
 (* A re-solve checks the matrix once per instance and the patched rhs
@@ -434,8 +443,8 @@ let () =
             test_token_after_window_refresh;
           Alcotest.test_case "stale cell at the revised level" `Quick
             test_stale_cell_revised;
-          Alcotest.test_case "dense stage solves the patched LP" `Quick
-            test_dense_stage_patched;
+          Alcotest.test_case "masked re-solve falls back" `Quick
+            test_masked_deadline_falls_back;
           Alcotest.test_case "patched vectors refused as before" `Quick
             test_patched_refusals;
           Alcotest.test_case "guarantee solves share the half window" `Quick

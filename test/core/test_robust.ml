@@ -1,10 +1,10 @@
 (* Solver-failure injection at the planner level: every LP planner is run
    with a crippled solver budget and must still return a valid, executable
-   plan with honest provenance — the certified fallback chain
-   (revised -> certify -> dense -> certify -> greedy) at work.  Also covers
-   the chain's middle stage (deadline starves only the revised solver, so
-   the dense reference takes over) and {!Replan}'s rule that an uncertified
-   candidate is never disseminated. *)
+   plan with honest provenance — the certified chain
+   (revised -> certify -> greedy) at work.  Also covers an expired
+   wall-clock deadline (no other solver takes over: the plan is the
+   greedy one) and {!Replan}'s rule that an uncertified candidate is
+   never disseminated. *)
 
 let mica = Sensor.Mica2.default
 
@@ -118,27 +118,29 @@ let test_crippled_matches_greedy () =
       (Prospector.Plan.bandwidth r.Prospector.Lp_lf.plan i)
   done
 
-(* ---- middle stage: starve only the revised solver, dense takes over ---- *)
+(* ---- an expired deadline: revised or refuse, then greedy ---- *)
 
-let test_dense_stage_takes_over () =
+let test_expired_deadline_falls_back () =
   let topo, cost, samples, k, _ = small_instance 17 in
   let budget = 25. in
   let healthy = Prospector.Lp_lf.plan topo cost samples ~budget ~k in
+  Alcotest.check is_provenance "healthy solve certified"
+    Prospector.Robust_plan.Certified_revised
+    healthy.Prospector.Lp_lf.provenance;
   (* An expired wall-clock deadline stops the revised solver before its
-     first pivot; the dense reference has no deadline and finishes. *)
+     first pivot, and no other solver runs after it. *)
   let r = Prospector.Lp_lf.plan ~lp_deadline:0. topo cost samples ~budget ~k in
-  Alcotest.check is_provenance "dense stage"
-    Prospector.Robust_plan.Certified_dense r.Prospector.Lp_lf.provenance;
-  (* Both stages solve the same LP to optimality. *)
-  let scale = 1. +. Float.abs healthy.Prospector.Lp_lf.lp_objective in
-  Alcotest.(check bool)
-    (Printf.sprintf "same optimum (%.9g vs %.9g)"
-       healthy.Prospector.Lp_lf.lp_objective r.Prospector.Lp_lf.lp_objective)
-    true
-    (Float.abs
-       (healthy.Prospector.Lp_lf.lp_objective
-       -. r.Prospector.Lp_lf.lp_objective)
-     <= 1e-5 *. scale)
+  Alcotest.check is_provenance "greedy fallback"
+    Prospector.Robust_plan.Fell_back_greedy r.Prospector.Lp_lf.provenance;
+  Alcotest.(check bool) "no certificate" true
+    (Option.is_none r.Prospector.Lp_lf.certify);
+  let g = Prospector.Greedy.plan topo cost samples ~budget in
+  for i = 0 to topo.Sensor.Topology.n - 1 do
+    Alcotest.(check int)
+      (Printf.sprintf "bandwidth at %d" i)
+      (Prospector.Plan.bandwidth g i)
+      (Prospector.Plan.bandwidth r.Prospector.Lp_lf.plan i)
+  done
 
 (* ---- Robust_plan.solve itself ---- *)
 
@@ -151,8 +153,8 @@ let test_robust_solve_outcomes () =
   in
   (match Prospector.Robust_plan.solve (feasible ()) with
   | Ok r ->
-      Alcotest.check is_provenance "revised first"
-        Prospector.Robust_plan.Certified_revised r.Prospector.Robust_plan.provenance;
+      Alcotest.(check bool) "certified" true
+        r.Prospector.Robust_plan.report.Lp.Certify.certified;
       Alcotest.(check (float 1e-6)) "objective" 1.5
         r.Prospector.Robust_plan.solution.Lp.Model.objective
   | Error _ -> Alcotest.fail "expected a certified solution");
@@ -161,11 +163,14 @@ let test_robust_solve_outcomes () =
       Alcotest.(check bool) "reasons recorded" true (reasons <> [])
   | Ok _ -> Alcotest.fail "crippled chain cannot certify"
   | Error _ -> Alcotest.fail "wrong failure");
+  (* An expired deadline refuses with the revised solve's own reason:
+     nothing else is tried. *)
   (match Prospector.Robust_plan.solve ~deadline:0. (feasible ()) with
-  | Ok r ->
-      Alcotest.check is_provenance "dense rescue"
-        Prospector.Robust_plan.Certified_dense r.Prospector.Robust_plan.provenance
-  | Error _ -> Alcotest.fail "dense stage should have rescued");
+  | Error (Prospector.Robust_plan.No_certified_solution reasons) ->
+      Alcotest.(check (list string)) "the revised reason only"
+        [ "iteration/time budget exhausted before optimality" ] reasons
+  | Ok _ -> Alcotest.fail "an expired deadline cannot certify"
+  | Error _ -> Alcotest.fail "wrong failure");
   let infeasible = Lp.Model.create () in
   let x = Lp.Model.add_var infeasible ~obj:1. "x" in
   Lp.Model.add_ge infeasible [ (1., x) ] 2.;
@@ -260,8 +265,8 @@ let () =
             test_crippled_planners_fall_back;
           Alcotest.test_case "fallback matches greedy" `Quick
             test_crippled_matches_greedy;
-          Alcotest.test_case "dense stage takes over" `Quick
-            test_dense_stage_takes_over;
+          Alcotest.test_case "expired deadline falls back" `Quick
+            test_expired_deadline_falls_back;
           Alcotest.test_case "robust solve outcomes" `Quick
             test_robust_solve_outcomes;
           Alcotest.test_case "replan never ships uncertified" `Quick

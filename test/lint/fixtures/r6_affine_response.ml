@@ -11,7 +11,6 @@ let respond plan certify : Serve.Server.response =
   {
     plan;
     objective = 0.;
-    provenance = Prospector.Robust_plan.Certified_revised;
     certify;
     guarantee = None;
     source = Serve.Server.Range_hit;

@@ -113,7 +113,7 @@ let test_r6_handbuilt () =
 let test_r6_affine_response () =
   check_hits "a raw affine point reaching a Server response fires; its \
               certified form does not"
-    [ ("R6", 26) ]
+    [ ("R6", 25) ]
     (lint ~logical:"lib/lintfix/r6_affine_response.ml" "r6_affine_response.ml")
 
 let test_r6_zone () =

@@ -139,87 +139,104 @@ let test_lu_fill_nnz () =
 let test_dense_basic_max () =
   (* max 3x + 5y st x <= 4, 2y <= 12, 3x + 2y <= 18 -> (2,6), obj 36 *)
   let r =
-    Lp.Dense_simplex.solve ~maximize:true ~obj:[| 3.; 5. |]
+    Dense_simplex.solve ~maximize:true ~obj:[| 3.; 5. |]
       ~constraints:
         [|
-          ([| 1.; 0. |], Lp.Dense_simplex.Le, 4.);
-          ([| 0.; 2. |], Lp.Dense_simplex.Le, 12.);
-          ([| 3.; 2. |], Lp.Dense_simplex.Le, 18.);
+          ([| 1.; 0. |], Dense_simplex.Le, 4.);
+          ([| 0.; 2. |], Dense_simplex.Le, 12.);
+          ([| 3.; 2. |], Dense_simplex.Le, 18.);
         |]
       ()
   in
-  Alcotest.(check bool) "optimal" true (r.Lp.Dense_simplex.status = Lp.Dense_simplex.Optimal);
-  check_float "objective" 36. r.Lp.Dense_simplex.objective;
-  check_float "x" 2. r.Lp.Dense_simplex.x.(0);
-  check_float "y" 6. r.Lp.Dense_simplex.x.(1)
+  Alcotest.(check bool) "optimal" true (r.Dense_simplex.status = Dense_simplex.Optimal);
+  check_float "objective" 36. r.Dense_simplex.objective;
+  check_float "x" 2. r.Dense_simplex.x.(0);
+  check_float "y" 6. r.Dense_simplex.x.(1)
 
 let test_dense_min_with_ge () =
   (* min 2x + 3y st x + y >= 4, x >= 1 -> (4,0)? obj: 2*4=8 vs (1,3): 2+9=11.
      So optimum (4,0) obj 8. *)
   let r =
-    Lp.Dense_simplex.solve ~obj:[| 2.; 3. |]
+    Dense_simplex.solve ~obj:[| 2.; 3. |]
       ~constraints:
         [|
-          ([| 1.; 1. |], Lp.Dense_simplex.Ge, 4.);
-          ([| 1.; 0. |], Lp.Dense_simplex.Ge, 1.);
+          ([| 1.; 1. |], Dense_simplex.Ge, 4.);
+          ([| 1.; 0. |], Dense_simplex.Ge, 1.);
         |]
       ()
   in
-  Alcotest.(check bool) "optimal" true (r.Lp.Dense_simplex.status = Lp.Dense_simplex.Optimal);
-  check_float "objective" 8. r.Lp.Dense_simplex.objective
+  Alcotest.(check bool) "optimal" true (r.Dense_simplex.status = Dense_simplex.Optimal);
+  check_float "objective" 8. r.Dense_simplex.objective
 
 let test_dense_eq () =
   (* min x + y st x + 2y = 4, x - y = 1 -> x = 2, y = 1, obj 3 *)
   let r =
-    Lp.Dense_simplex.solve ~obj:[| 1.; 1. |]
+    Dense_simplex.solve ~obj:[| 1.; 1. |]
       ~constraints:
         [|
-          ([| 1.; 2. |], Lp.Dense_simplex.Eq, 4.);
-          ([| 1.; -1. |], Lp.Dense_simplex.Eq, 1.);
+          ([| 1.; 2. |], Dense_simplex.Eq, 4.);
+          ([| 1.; -1. |], Dense_simplex.Eq, 1.);
         |]
       ()
   in
-  check_float "objective" 3. r.Lp.Dense_simplex.objective;
-  check_float "x" 2. r.Lp.Dense_simplex.x.(0);
-  check_float "y" 1. r.Lp.Dense_simplex.x.(1)
+  check_float "objective" 3. r.Dense_simplex.objective;
+  check_float "x" 2. r.Dense_simplex.x.(0);
+  check_float "y" 1. r.Dense_simplex.x.(1)
 
 let test_dense_infeasible () =
   let r =
-    Lp.Dense_simplex.solve ~obj:[| 1. |]
+    Dense_simplex.solve ~obj:[| 1. |]
       ~constraints:
         [|
-          ([| 1. |], Lp.Dense_simplex.Le, 1.);
-          ([| 1. |], Lp.Dense_simplex.Ge, 2.);
+          ([| 1. |], Dense_simplex.Le, 1.);
+          ([| 1. |], Dense_simplex.Ge, 2.);
         |]
       ()
   in
   Alcotest.(check bool) "infeasible" true
-    (r.Lp.Dense_simplex.status = Lp.Dense_simplex.Infeasible)
+    (r.Dense_simplex.status = Dense_simplex.Infeasible)
 
 let test_dense_unbounded () =
   let r =
-    Lp.Dense_simplex.solve ~maximize:true ~obj:[| 1.; 0. |]
-      ~constraints:[| ([| 0.; 1. |], Lp.Dense_simplex.Le, 1.) |]
+    Dense_simplex.solve ~maximize:true ~obj:[| 1.; 0. |]
+      ~constraints:[| ([| 0.; 1. |], Dense_simplex.Le, 1.) |]
       ()
   in
   Alcotest.(check bool) "unbounded" true
-    (r.Lp.Dense_simplex.status = Lp.Dense_simplex.Unbounded)
+    (r.Dense_simplex.status = Dense_simplex.Unbounded)
 
 let test_dense_degenerate () =
   (* Classic degenerate LP; Bland's rule must terminate. *)
   let r =
-    Lp.Dense_simplex.solve ~maximize:true
+    Dense_simplex.solve ~maximize:true
       ~obj:[| 10.; -57.; -9.; -24. |]
       ~constraints:
         [|
-          ([| 0.5; -5.5; -2.5; 9. |], Lp.Dense_simplex.Le, 0.);
-          ([| 0.5; -1.5; -0.5; 1. |], Lp.Dense_simplex.Le, 0.);
-          ([| 1.; 0.; 0.; 0. |], Lp.Dense_simplex.Le, 1.);
+          ([| 0.5; -5.5; -2.5; 9. |], Dense_simplex.Le, 0.);
+          ([| 0.5; -1.5; -0.5; 1. |], Dense_simplex.Le, 0.);
+          ([| 1.; 0.; 0.; 0. |], Dense_simplex.Le, 1.);
         |]
       ()
   in
-  Alcotest.(check bool) "optimal" true (r.Lp.Dense_simplex.status = Lp.Dense_simplex.Optimal);
-  check_float "objective" 1. r.Lp.Dense_simplex.objective
+  Alcotest.(check bool) "optimal" true (r.Dense_simplex.status = Dense_simplex.Optimal);
+  check_float "objective" 1. r.Dense_simplex.objective
+
+(* The dense lowering of a model: a shifted lower bound, a free variable
+   (split into a difference of non-negatives) and [>=] rows.  min 2x + y
+   with x + y >= 1, y >= -3, 2 <= x <= 5 has its optimum 3 at x = 2,
+   y = -1; dropping the shift or the split would give 1 or 4. *)
+let test_dense_lowering () =
+  let m = Lp.Model.create () in
+  let x = Lp.Model.add_var m ~lower:2. ~upper:5. ~obj:2. "x" in
+  let y = Lp.Model.add_var m ~lower:neg_infinity ~obj:1. "y" in
+  Lp.Model.add_ge m [ (1., x); (1., y) ] 1.;
+  Lp.Model.add_ge m [ (1., y) ] (-3.);
+  let sol, report = Dense_simplex.solve_model m in
+  Alcotest.(check bool)
+    "feasibility certified" true report.Lp.Certify.certified;
+  check_float "objective" 3. sol.Lp.Model.objective;
+  check_float "x" 2. (Lp.Model.value sol x);
+  check_float "y" (-1.) (Lp.Model.value sol y)
 
 (* ---------- Model + Revised ---------- *)
 
@@ -350,7 +367,7 @@ let random_lp_agrees =
         | _ -> if !terms <> [] then Lp.Model.add_le m !terms rhs
       done;
       let sol_r = Lp.Model.solve m in
-      let sol_d = fst (Lp.Model.solve_dense_certified m) in
+      let sol_d = fst (Dense_simplex.solve_model m) in
       match (sol_r.Lp.Model.status, sol_d.Lp.Model.status) with
       | Lp.Model.Optimal, Lp.Model.Optimal ->
           Float.abs (sol_r.Lp.Model.objective -. sol_d.Lp.Model.objective)
@@ -434,6 +451,8 @@ let () =
           Alcotest.test_case "infeasible" `Quick test_dense_infeasible;
           Alcotest.test_case "unbounded" `Quick test_dense_unbounded;
           Alcotest.test_case "degenerate (Bland terminates)" `Quick test_dense_degenerate;
+          Alcotest.test_case "lowering shifts and splits" `Quick
+            test_dense_lowering;
         ] );
       ( "model_revised",
         [

@@ -99,7 +99,7 @@ let test_corpus_agrees_with_dense () =
     (fun (name, build) ->
       let m, _ = build () in
       let rsol, rrep = Lp.Model.solve_certified m in
-      let dsol, drep = Lp.Model.solve_dense_certified m in
+      let dsol, drep = Dense_simplex.solve_model m in
       assert_certified (name ^ " revised") rrep;
       assert_certified (name ^ " dense") drep;
       let scale = 1. +. Float.abs rsol.Lp.Model.objective in
@@ -223,13 +223,10 @@ let test_validate_rejects_bad_data () =
       let y = Lp.Model.add_var m ~lower:Float.infinity ~upper:Float.infinity "y" in
       Lp.Model.add_le m [ (1., y) ] 1.;
       Lp.Model.solve m);
-  (* Empty columns are legal by default... *)
+  (* Empty columns are legal. *)
   let m = base () in
   let _free = Lp.Model.add_var m "unused" in
-  Lp.Problem.validate (Lp.Model.to_problem m);
-  (* ...and rejected in strict mode. *)
-  expect_invalid "empty column (strict)" (fun () ->
-      Lp.Problem.validate ~strict:true (Lp.Model.to_problem m))
+  Lp.Problem.validate (Lp.Model.to_problem m)
 
 (* ---- iteration starvation: rejected, not silently shipped ---- *)
 
@@ -250,8 +247,8 @@ let test_starved_solver_rejected () =
       end
       else assert_certified (Printf.sprintf "budget %d" budget) report)
     [ 0; 1; 2; 3; 5; 100 ];
-  (* The dense reference obeys its pivot cap the same way. *)
-  let sol, report = Lp.Model.solve_dense_certified ~max_pivots:1 m in
+  (* The dense oracle obeys its pivot cap the same way. *)
+  let sol, report = Dense_simplex.solve_model ~max_pivots:1 m in
   Alcotest.(check bool)
     "dense starved status" true
     (sol.Lp.Model.status = Lp.Model.Iteration_limit);

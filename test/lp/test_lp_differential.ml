@@ -12,9 +12,9 @@
 open Lp_corpus
 
 let dense_sense = function
-  | Lp.Model.Le -> Lp.Dense_simplex.Le
-  | Lp.Model.Ge -> Lp.Dense_simplex.Ge
-  | Lp.Model.Eq -> Lp.Dense_simplex.Eq
+  | Lp.Model.Le -> Dense_simplex.Le
+  | Lp.Model.Ge -> Dense_simplex.Ge
+  | Lp.Model.Eq -> Dense_simplex.Eq
 
 let solve_dense spec =
   let n = Array.length spec.lower in
@@ -23,11 +23,11 @@ let solve_dense spec =
     List.concat
       (List.init n (fun i ->
            (if spec.lower.(i) > 0. then
-              [ (unit i, Lp.Dense_simplex.Ge, spec.lower.(i)) ]
+              [ (unit i, Dense_simplex.Ge, spec.lower.(i)) ]
             else [])
            @
            if spec.upper.(i) < infinity then
-             [ (unit i, Lp.Dense_simplex.Le, spec.upper.(i)) ]
+             [ (unit i, Dense_simplex.Le, spec.upper.(i)) ]
            else []))
   in
   let rows =
@@ -35,7 +35,7 @@ let solve_dense spec =
       (Array.map (fun (c, s, r) -> (Array.copy c, dense_sense s, r)) spec.rows)
       (Array.of_list bound_rows)
   in
-  Lp.Dense_simplex.solve ~maximize:spec.maximize ~obj:(Array.copy spec.obj)
+  Dense_simplex.solve ~maximize:spec.maximize ~obj:(Array.copy spec.obj)
     ~constraints:rows ()
 
 let model_status_name = function
@@ -43,12 +43,6 @@ let model_status_name = function
   | Lp.Model.Infeasible -> "infeasible"
   | Lp.Model.Unbounded -> "unbounded"
   | Lp.Model.Iteration_limit -> "iteration-limit"
-
-let dense_status_name = function
-  | Lp.Dense_simplex.Optimal -> "optimal"
-  | Lp.Dense_simplex.Infeasible -> "infeasible"
-  | Lp.Dense_simplex.Unbounded -> "unbounded"
-  | Lp.Dense_simplex.Iteration_limit -> "iteration-limit"
 
 let close a b = Float.abs (a -. b) <= 1e-6 *. (1. +. Float.max (Float.abs a) (Float.abs b))
 
@@ -65,16 +59,16 @@ let test_revised_vs_dense () =
     let model = build_model spec in
     let rev = Lp.Model.solve model in
     let dense = solve_dense spec in
-    (match (rev.Lp.Model.status, dense.Lp.Dense_simplex.status) with
-    | Lp.Model.Optimal, Lp.Dense_simplex.Optimal ->
+    (match (rev.Lp.Model.status, dense.Dense_simplex.status) with
+    | Lp.Model.Optimal, Dense_simplex.Optimal ->
         incr optimal;
         check_close ~seed ~what:"revised vs dense" rev.Lp.Model.objective
-          dense.Lp.Dense_simplex.objective
-    | Lp.Model.Infeasible, Lp.Dense_simplex.Infeasible -> incr infeasible
-    | Lp.Model.Unbounded, Lp.Dense_simplex.Unbounded -> incr unbounded
+          dense.Dense_simplex.objective
+    | Lp.Model.Infeasible, Dense_simplex.Infeasible -> incr infeasible
+    | Lp.Model.Unbounded, Dense_simplex.Unbounded -> incr unbounded
     | rs, ds ->
         Alcotest.failf "seed %d: verdicts differ: revised %s vs dense %s" seed
-          (model_status_name rs) (dense_status_name ds));
+          (model_status_name rs) (model_status_name ds));
     (* Warm-starting the revised solver from its own final basis must
        reproduce its verdict and objective exactly. *)
     match rev.Lp.Model.basis with

@@ -270,7 +270,7 @@ let bigger_random_agreement =
         Lp.Model.add_le m !terms (Random.State.float rand 20.)
       done;
       let a = Lp.Model.solve m in
-      let b = fst (Lp.Model.solve_dense_certified m) in
+      let b = fst (Dense_simplex.solve_model m) in
       match (a.Lp.Model.status, b.Lp.Model.status) with
       | Lp.Model.Optimal, Lp.Model.Optimal ->
           Float.abs (a.Lp.Model.objective -. b.Lp.Model.objective)
@@ -304,7 +304,7 @@ let equality_rows_agreement =
         Lp.Model.add_le m !terms (2. +. Random.State.float rand 15.)
       done;
       let a = Lp.Model.solve m in
-      let b = fst (Lp.Model.solve_dense_certified m) in
+      let b = fst (Dense_simplex.solve_model m) in
       match (a.Lp.Model.status, b.Lp.Model.status) with
       | Lp.Model.Optimal, Lp.Model.Optimal ->
           Float.abs (a.Lp.Model.objective -. b.Lp.Model.objective)
@@ -398,7 +398,7 @@ let test_model_refuses_non_finite () =
       Alcotest.check_raises ("solve with " ^ shown) (Invalid_argument expected)
         (fun () -> ignore (Lp.Model.solve_certified m));
       Alcotest.check_raises ("dense with " ^ shown) (Invalid_argument expected)
-        (fun () -> ignore (Lp.Model.solve_dense_certified m)))
+        (fun () -> ignore (Dense_simplex.solve_model m)))
     [ (Float.nan, "nan"); (infinity, "inf"); (neg_infinity, "-inf") ]
 
 (* The two-pass lowering builds each column exactly as [Sparse_vec.of_assoc]

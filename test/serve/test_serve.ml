@@ -401,6 +401,32 @@ let test_crippled_solver_refused () =
   let out2 = Serve.Server.run t [| q |] in
   Alcotest.(check string) "retry is refused again" "refused" (source out2.(0))
 
+(* An expired wall-clock deadline stops the revised solver and no other
+   solver runs after it, so every query is refused.  At this budget the
+   crash start is not optimal (the budget row is violated there), so the
+   solve still has dual pivots to make when the deadline stops it. *)
+let test_expired_deadline_refused () =
+  let e = mk_env 51 in
+  let b = 0.5 *. e.full_mj in
+  let healthy = Prospector.Lp_lf.plan e.topo e.cost e.samples ~budget:b ~k:4 in
+  (match healthy.Prospector.Lp_lf.lp_stats with
+  | Some st ->
+      Alcotest.(check bool) "the crash start needs dual pivots" true
+        (st.Lp.Revised.dual_iterations > 0)
+  | None -> Alcotest.fail "the healthy solve should be certified");
+  let config = { (config ()) with lp_deadline = Some 0. } in
+  let t = server_of ~config [ e ] in
+  let q = Serve.Server.query ~network:0 ~k:4 b in
+  let out = Serve.Server.run t [| q; q |] in
+  let out2 = Serve.Server.run t [| q |] in
+  Array.iter
+    (fun o -> Alcotest.(check string) "refused" "refused" (source o))
+    (Array.append out out2);
+  let s = Serve.Server.stats t in
+  Alcotest.(check int) "every query refused" 3 s.refused;
+  Alcotest.(check int) "no cache hits" 0 s.cache_hits;
+  Alcotest.(check int) "no coalesced serves" 0 s.coalesced
+
 let test_guarantee_paths () =
   let e = mk_env ~n:20 ~count:16 61 in
   let t = server_of [ e ] in
@@ -941,6 +967,8 @@ let () =
           Alcotest.test_case "budget-range growth" `Quick test_range_growth;
           Alcotest.test_case "crippled solver refused" `Quick
             test_crippled_solver_refused;
+          Alcotest.test_case "expired deadline refused" `Quick
+            test_expired_deadline_refused;
           Alcotest.test_case "guarantee met and refused" `Quick
             test_guarantee_paths;
           Alcotest.test_case "invalid queries refused" `Quick

@@ -105,9 +105,10 @@ let all =
          sinks (Replan.create/consider/force, Simnet_exec collection, \
          Server response construction) must flow through the certified \
          chain (Robust_plan, Model.solve_certified, \
-         Model.affine_certified, Certify); raw Revised.solve / \
-         Dense_simplex.solve / Model.solve results, raw Ranging.affine \
-         points and hand-built solution records are tracked inter-procedurally and \
+         Model.affine_certified, Certify), which is revised-or-refuse; \
+         raw Revised.solve / Model.solve results, the test-only \
+         Dense_simplex.solve oracle, raw Ranging.affine points and \
+         hand-built solution records are tracked inter-procedurally and \
          flagged at the sink with their def-use path";
     };
     {
@@ -294,14 +295,14 @@ let r6_producer path =
     path
 
 (* The certified chain.  A value returned by any of these carries a
-   certificate (or a refusal) by construction — PR 3's fallback chain,
-   PR 7's guarantee ladder and PR 8's repair controller all bottom out
-   here. *)
+   certificate (or a refusal) by construction — the revised-or-refuse
+   LP solve, the guarantee ladder and the repair controller all bottom
+   out here.  The dense tableau is a test oracle and stays a producer:
+   no result of it can be laundered into a sink. *)
 let r6_sanitizer path =
   path_matches
     [
       "Model.solve_certified";
-      "Model.solve_dense_certified";
       "Model.affine_certified";
       "Certify.certify_optimal";
       "Certify.certify_feasible";

@@ -1,16 +1,18 @@
 (* R6 — certification taint.
 
-   The safety invariant (PR 3, PR 9): a plan or LP solution that did not
-   come through the certified chain must never reach a dissemination or
-   serving sink.  The runtime enforces it with provenance gates; this
-   module enforces it statically on the typedtree.
+   The safety invariant: a plan or LP solution that did not come
+   through the certified chain (the revised simplex, then certification,
+   else a refusal) must never reach a dissemination or serving sink.
+   The runtime enforces it with provenance gates; this module enforces
+   it statically on the typedtree.
 
    Taint is minted by the registry's uncertified producers (raw
-   [Revised.solve], [Dense_simplex.solve], [Model.solve] outside lib/lp)
-   and by hand-built solution records; it propagates through let
-   bindings, tuples/constructors/records, field projections, match
-   scrutinees and — conservatively — through calls whose callee is not a
-   registered sanitizer; it dies at the certified chain
+   [Revised.solve] and [Model.solve] outside lib/lp, and the test-only
+   dense tableau [Dense_simplex.solve]) and by hand-built solution
+   records; it propagates through let bindings,
+   tuples/constructors/records, field projections, match scrutinees and
+   — conservatively — through calls whose callee is not a registered
+   sanitizer; it dies at the certified chain
    ([Robust_plan.*], [Model.solve_certified], [Certify.*], the planner
    fronts).  Cross-module flow uses a summary pass: every top-level
    binding whose definition is tainted is recorded under its
