@@ -13,12 +13,14 @@ test:
 
 # Robustness suites: adversarial LP corpus (degenerate / near-singular /
 # badly scaled), revised-vs-dense differential checks, the kernel's
-# reach-vs-sweep and warm-vs-cold differential checks, planner-level
-# solver-failure injection against the certified fallback chain, and
-# LP+LF instance re-solves (patched budget and alive bounds, reused basis
-# factors) against freshly built models, and warm re-solves (dual simplex
-# or phase 1) against cold ones over random rhs, bound, budget and mask
-# changes.
+# reach-vs-sweep and warm-vs-cold differential checks and its
+# Forrest-Tomlin update checks (test_lp_kernel: an updated factor against
+# fresh factorizations, reach = sweep on it, the stability test's
+# refusal), planner-level solver-failure injection against the certified
+# fallback chain, LP+LF instance re-solves (patched budget and alive
+# bounds, reused basis factors) against freshly built models, and warm
+# re-solves (dual simplex or phase 1) against cold ones over random rhs,
+# bound, budget and mask changes (test_warm_dual).
 stress:
 	dune exec test/lp/test_lp_adversarial.exe
 	dune exec test/lp/test_lp_differential.exe

@@ -280,7 +280,11 @@ let make_instance ~who topo cost samples ~k =
 let instance topo cost samples ~k =
   make_instance ~who:"Lp_lf.instance" topo cost samples ~k
 
-let patched ~who ?alive inst ~budget =
+(* The instance's lowering at [budget] under [alive].  A masked solve
+   reads its own crash start only when it has no token that fits the
+   model (a token that fits is used, and should it fail the solve falls
+   back to the all-slack basis), so the start is built only then. *)
+let patched ~who ?alive ?warm_start inst ~budget =
   check_alive who inst.topo alive;
   let p = inst.problem in
   let rhs = Array.copy p.Lp.Problem.rhs in
@@ -293,9 +297,14 @@ let patched ~who ?alive inst ~budget =
         (fun i z -> if z >= 0 && not a.(i) then upper.(z) <- 0.)
         inst.z_cols;
       let start =
-        Lp.Model.lower_start inst.model (crash inst.topo inst.layout alive)
+        match warm_start with
+        | Some w when Lp.Model.basis_compatible inst.model w -> None
+        | Some _ | None ->
+            Some
+              (Lp.Model.lower_start inst.model
+                 (crash inst.topo inst.layout alive))
       in
-      { p with Lp.Problem.rhs; upper; start = Some start }
+      { p with Lp.Problem.rhs; upper; start }
 
 let problem ?alive inst ~budget =
   patched ~who:"Lp_lf.problem" ?alive inst ~budget
@@ -352,7 +361,7 @@ let solve_lp ~who ?alive ?warm_start ?max_lp_iterations ?lp_deadline inst
     ~budget =
   let topo = inst.topo and cost = inst.cost and samples = inst.samples in
   traced_plan ~topo ~budget ~k:inst.k @@ fun () ->
-  let problem = patched ~who ?alive inst ~budget in
+  let problem = patched ~who ?alive ?warm_start inst ~budget in
   let n = topo.Sensor.Topology.n in
   match
     Robust_plan.solve ?warm_start ?max_iterations:max_lp_iterations

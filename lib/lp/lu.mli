@@ -11,7 +11,10 @@
     right-hand side can reach and process only those, in the order a full
     sweep would, so their cost follows the nonzeros touched.  When the
     reach is a large share of the steps they sweep every step; both ways
-    perform the same floating-point operations and give the same bits. *)
+    perform the same floating-point operations and give the same bits.
+
+    A factor is immutable and may be shared between domains; {!Update}
+    keeps its own copy of U for Forrest–Tomlin column replacements. *)
 
 type t
 
@@ -79,3 +82,48 @@ val solve : t -> float array -> float array
 val solve_transpose : t -> float array -> float array
 (** [solve_transpose t c] returns [y] with [B^T y = c].  [c] is not
     modified. *)
+
+(** {1 Forrest–Tomlin updates} *)
+
+module Update : sig
+  type lu := t
+
+  type t
+  (** A factorization under column replacements: the factor's L, row etas
+      R, and a private copy of its U (the factor itself is not changed).
+      The solves run L, R, then U (FTRAN) and U{^T}, R{^T}, then L{^T}
+      (BTRAN), with the factor's reach-or-sweep rule and the same
+      bit-for-bit agreement between the two branches. *)
+
+  val create : lu -> t
+  (** The factor with no update applied yet.  Costs O(dim) for the copies
+      of U's step arrays (its rows and columns are shared until an update
+      replaces them). *)
+
+  val ftran : t -> vec -> vec -> int
+  (** As {!Lu.ftran}, through the updates.  Also saves the spike (the
+      right-hand side after L and R) for the next {!replace}. *)
+
+  val btran : t -> vec -> vec -> int
+  (** As {!Lu.btran}, through the updates. *)
+
+  val etas : t -> int
+  (** Row etas the last {!ftran} or {!btran} applied (those that changed
+      a value). *)
+
+  val replace : t -> slot:int -> alpha:float -> bool
+  (** [replace u ~slot ~alpha] replaces the basis column in [slot] by the
+      column of the last {!ftran}, whose result held [alpha] at [slot].
+      Returns [false], leaving the factorization as it was, when the
+      stability test fails: the new diagonal is tiny, or disagrees with
+      [alpha] times the replaced diagonal by more than a relative [1e-8].
+      The caller then refactorizes.
+      @raise Invalid_argument when no {!ftran} ran since the last call. *)
+
+  val count : t -> int
+  (** Updates applied. *)
+
+  val fill_nnz : t -> int
+  (** Nonzeros stored now in L, U and the row etas (a fresh factor's is
+      {!Lu.fill_nnz}). *)
+end

@@ -76,12 +76,6 @@ let same_cols a b =
   let rec go s = s >= Array.length a || (same_col a.(s) b.(s) && go (s + 1)) in
   go 0
 
-(* Eta update for the product-form basis inverse.  [rows]/[vals] are the
-   entries of the pivot (FTRAN) column w excluding the pivot slot. *)
-type eta = { slot : int; wp : float; rows : int array; vals : float array }
-
-let dummy_eta = { slot = 0; wp = 1.; rows = [||]; vals = [||] }
-
 (* Size of the pricing candidate list (multiple pricing): between full
    scans, only these columns have their reduced costs kept current. *)
 let cand_cap = 32
@@ -97,19 +91,13 @@ type state = {
   basis : int array;  (* slot -> variable *)
   where : int array;  (* variable -> slot, or -1 if nonbasic *)
   at_upper : bool array;  (* for nonbasic variables *)
-  mutable lu : Lu.t;
+  mutable lu : Lu.t;  (* the last factorization, never changed *)
   lu_work : Lu.scratch;
-  mutable etas : eta array;  (* oldest first; only [0, n_etas) valid *)
-  mutable n_etas : int;
-  mutable eta_nnz : int;  (* total off-pivot entries across live etas *)
+  (* [lu] under Forrest–Tomlin updates: made by the first FTRAN of an
+     entering column after a factorization, so a solve that takes no pivot
+     allocates none of it. *)
+  mutable ft : Lu.Update.t option;
   mutable lu_fill : int;  (* fill of the current factorization *)
-  (* The live etas that read or write each slot, ascending, at
-     [eta_by_slot.(s).(0 .. eta_by_slot_n.(s)-1)]: BTRAN visits only the
-     etas touching a nonzero slot. *)
-  eta_by_slot : int array array;
-  eta_by_slot_n : int array;
-  mutable eta_seen : int array;  (* eta -> stamp of the BTRAN visiting it *)
-  mutable eta_stamp : int;
   (* -- work vectors, reused by every solve and cleared through their
      patterns -- *)
   fin : Lu.vec;  (* FTRAN input, row-indexed *)
@@ -165,10 +153,12 @@ let is_banned st j = Bytes.unsafe_get st.banned j <> '\000'
 let ban st j = Bytes.unsafe_set st.banned j '\001'
 let unban st j = Bytes.unsafe_set st.banned j '\000'
 
+let updates st = match st.ft with None -> 0 | Some u -> Lu.Update.count u
+
 (* FTRAN of column [q]: [st.w] <- B^{-1} a_q, its pattern the nonzero
-   slots in ascending order (ratio-test ties and eta rows depend on that
-   order).  Etas apply oldest first; one whose pivot entry is zero is
-   skipped, and the others extend the pattern as they scatter. *)
+   slots in ascending order (ratio-test ties depend on that order).  It
+   runs through the update layer, creating it on the first call after a
+   factorization, so the spike of [q] is saved for {!pivot}. *)
 let ftran st q =
   let col = st.cols.(q) and fin = st.fin and w = st.w in
   let idx = col.Sparse_vec.idx and value = col.Sparse_vec.value in
@@ -177,61 +167,28 @@ let ftran st q =
     fin.values.(idx.(p)) <- value.(p)
   done;
   Lu.clear w;
-  st.ftran_steps <- st.ftran_steps + Lu.ftran st.lu st.lu_work fin w;
-  let v = w.values in
-  for k = 0 to st.n_etas - 1 do
-    let e = st.etas.(k) in
-    if v.(e.slot) <> 0. then begin
-      st.ftran_etas <- st.ftran_etas + 1;
-      let t = v.(e.slot) /. e.wp in
-      v.(e.slot) <- t;
-      if t <> 0. then
-        for p = 0 to Array.length e.rows - 1 do
-          let r = e.rows.(p) in
-          Lu.push w r;
-          v.(r) <- v.(r) -. (e.vals.(p) *. t)
-        done
-    end
-  done;
+  let u =
+    match st.ft with
+    | Some u -> u
+    | None ->
+        let u = Lu.Update.create st.lu in
+        st.ft <- Some u;
+        u
+  in
+  st.ftran_steps <- st.ftran_steps + Lu.Update.ftran u fin w;
+  st.ftran_etas <- st.ftran_etas + Lu.Update.etas u;
   Lu.tidy w
 
-(* Mark for the running BTRAN every live eta older than [below] that reads
-   or writes slot [s]. *)
-let mark_etas st s below =
-  let ks = st.eta_by_slot.(s) in
-  let p = ref 0 and n = st.eta_by_slot_n.(s) in
-  while !p < n && ks.(!p) < below do
-    st.eta_seen.(ks.(!p)) <- st.eta_stamp;
-    incr p
-  done
-
-(* BTRAN of [st.bin] (slot-indexed, consumed): [st.rho] <- B^{-T} bin.
-   Etas apply newest first, visiting only those that touch a nonzero
-   slot; then the LU transpose solve. *)
+(* BTRAN of [st.bin] (slot-indexed, consumed): [st.rho] <- B^{-T} bin. *)
 let btran st =
-  let c = st.bin in
-  let v = c.values in
-  st.eta_stamp <- st.eta_stamp + 1;
-  for p = 0 to c.count - 1 do
-    mark_etas st c.index.(p) st.n_etas
-  done;
-  for k = st.n_etas - 1 downto 0 do
-    if st.eta_seen.(k) = st.eta_stamp then begin
-      st.btran_etas <- st.btran_etas + 1;
-      let e = st.etas.(k) in
-      let acc = ref 0. in
-      for p = 0 to Array.length e.rows - 1 do
-        acc := !acc +. (e.vals.(p) *. v.(e.rows.(p)))
-      done;
-      v.(e.slot) <- (v.(e.slot) -. !acc) /. e.wp;
-      if Bytes.get c.member e.slot = '\000' then begin
-        Lu.push c e.slot;
-        mark_etas st e.slot k
-      end
-    end
-  done;
   Lu.clear st.rho;
-  st.btran_steps <- st.btran_steps + Lu.btran st.lu st.lu_work c st.rho
+  match st.ft with
+  | None ->
+      st.btran_steps <-
+        st.btran_steps + Lu.btran st.lu st.lu_work st.bin st.rho
+  | Some u ->
+      st.btran_steps <- st.btran_steps + Lu.Update.btran u st.bin st.rho;
+      st.btran_etas <- st.btran_etas + Lu.Update.etas u
 
 (* Duals of the basic costs [c.(basis)] into [dst] (dense, row-indexed). *)
 let duals_into st c dst =
@@ -248,33 +205,6 @@ let duals_into st c dst =
     let i = st.rho.index.(p) in
     dst.(i) <- st.rho.values.(i)
   done
-
-let push_eta st e =
-  let cap = Array.length st.etas in
-  if st.n_etas >= cap then begin
-    let bigger = Array.make (2 * Int.max 1 cap) dummy_eta in
-    Array.blit st.etas 0 bigger 0 st.n_etas;
-    st.etas <- bigger;
-    let seen = Array.make (2 * Int.max 1 cap) 0 in
-    Array.blit st.eta_seen 0 seen 0 st.n_etas;
-    st.eta_seen <- seen
-  end;
-  let k = st.n_etas in
-  let index s =
-    let n = st.eta_by_slot_n.(s) in
-    if n = Array.length st.eta_by_slot.(s) then begin
-      let bigger = Array.make ((2 * n) + 4) 0 in
-      Array.blit st.eta_by_slot.(s) 0 bigger 0 n;
-      st.eta_by_slot.(s) <- bigger
-    end;
-    st.eta_by_slot.(s).(n) <- k;
-    st.eta_by_slot_n.(s) <- n + 1
-  in
-  index e.slot;
-  Array.iter index e.rows;
-  st.etas.(k) <- e;
-  st.n_etas <- k + 1;
-  st.eta_nnz <- st.eta_nnz + Array.length e.rows
 
 (* The basic values implied by the nonbasic point, [B x_B = rhs - N x_N],
    solved in the state's own work vectors. *)
@@ -305,9 +235,7 @@ let recompute_basics st =
 let refactorize st =
   let basis_cols = Array.map (fun j -> st.cols.(j)) st.basis in
   st.lu <- Lu.factor ~dim:st.m basis_cols;
-  st.n_etas <- 0;
-  st.eta_nnz <- 0;
-  Array.fill st.eta_by_slot_n 0 st.m 0;
+  st.ft <- None;
   st.lu_fill <- Lu.fill_nnz st.lu;
   st.lu_nnz <- st.lu_nnz + st.lu_fill;
   st.refactorizations <- st.refactorizations + 1;
@@ -572,10 +500,18 @@ let update_pricing st q w slot =
   st.epoch <- next;
   st.since_refill <- st.since_refill + 1
 
+(* Fill growth of the updated factors (U and the row etas) past twice a
+   fresh factorization's fill plus [m]: beyond it, solving through them
+   costs more than a refactorization would save. *)
+let fill_growth st u =
+  Lu.Update.fill_nnz u - st.lu_fill > 2 * (st.lu_fill + st.m)
+
 (* The pivot proper: the entering column [q] moves by [t] in direction
    [dir] along the FTRAN column [w], and the basic variable of [slot]
    leaves at its upper bound when [to_upper], else its lower; then the
-   eta file grows, and a refactorization follows when it is due. *)
+   factors take the column replacement (from the spike the FTRAN of [q]
+   saved), or a refactorization follows when it is due or the update
+   fails its stability test. *)
 let pivot st q dir w slot t to_upper =
   let leaving = st.basis.(slot) in
   let wp = w.(slot) in
@@ -592,24 +528,6 @@ let pivot st q dir w slot t to_upper =
   st.at_upper.(leaving) <- to_upper;
   st.basis.(slot) <- q;
   st.where.(q) <- slot;
-  (* Record the eta factor (two passes over the nonzero pattern: count,
-     then fill). *)
-  let nnz = ref 0 in
-  for p = 0 to st.w.count - 1 do
-    let s = st.w.index.(p) in
-    if s <> slot && Float.abs w.(s) > 1e-12 then incr nnz
-  done;
-  let rows = Array.make !nnz 0 and vals = Array.make !nnz 0. in
-  let idx = ref 0 in
-  for p = 0 to st.w.count - 1 do
-    let s = st.w.index.(p) in
-    if s <> slot && Float.abs w.(s) > 1e-12 then begin
-      rows.(!idx) <- s;
-      vals.(!idx) <- w.(s);
-      incr idx
-    end
-  done;
-  push_eta st { slot; wp; rows; vals };
   if t <= 1e-10 then begin
     st.degenerate_pivots <- st.degenerate_pivots + 1;
     st.consecutive_degenerate <- st.consecutive_degenerate + 1
@@ -620,24 +538,24 @@ let pivot st q dir w slot t to_upper =
     st.bland <- true
   end;
   st.pivots_since_drift_check <- st.pivots_since_drift_check + 1;
-  if st.n_etas >= st.refactor_interval then refactorize st
-  else if st.n_etas >= 16 && st.eta_nnz > 4 * (st.lu_fill + st.m) then begin
-    (* Eta-file growth: the product-form updates have accumulated more
-       fill than a fresh factorization would carry, so solves are both
-       slower and numerically staler than a refactorization.  Fold them
-       in early rather than waiting for the fixed interval. *)
-    st.growth_refactorizations <- st.growth_refactorizations + 1;
-    refactorize st
-  end
+  match st.ft with
+  | None -> assert false (* the FTRAN of [q] made it *)
+  | Some u ->
+      if not (Lu.Update.replace u ~slot ~alpha:wp) then refactorize st
+      else if Lu.Update.count u >= st.refactor_interval then refactorize st
+      else if fill_growth st u then begin
+        st.growth_refactorizations <- st.growth_refactorizations + 1;
+        refactorize st
+      end
 
 let apply_pivot st q dir w slot t to_upper =
   update_pricing st q w slot;
   pivot st q dir w slot t to_upper
 
 (* How often (in pivots) the FTRAN result is verified against the basis
-   columns, and the scaled residual above which the eta file is declared
-   drifted.  A fresh LU keeps residuals near machine epsilon; a checked
-   residual above [drift_tol] means the product-form updates have decayed
+   columns, and the scaled residual above which the updated factors are
+   declared drifted.  A fresh LU keeps residuals near machine epsilon; a
+   checked residual above [drift_tol] means the updates have decayed
    enough to threaten the ratio test, so we refactorize and redo the
    FTRAN before committing the pivot. *)
 let drift_check_interval = 25
@@ -645,14 +563,14 @@ let drift_check_interval = 25
 let drift_tol = 1e-7
 
 (* FTRAN of column [q] with periodic numerical self-checking: every
-   [drift_check_interval] pivots (while etas are live) the result [w] is
+   [drift_check_interval] pivots (while updates are live) the result [w] is
    verified directly against the problem data via ‖B w - a_q‖∞; on a
    residual spike the basis is refactorized — which also recomputes the
    basic values from scratch — and the FTRAN is retried on fresh
    factors. *)
 let ftran_checked st q =
   ftran st q;
-  if st.n_etas > 0 && st.pivots_since_drift_check >= drift_check_interval
+  if updates st > 0 && st.pivots_since_drift_check >= drift_check_interval
   then begin
     st.pivots_since_drift_check <- 0;
     let w = st.w.values in
@@ -667,7 +585,8 @@ let ftran_checked st q =
     in
     if worst > drift_tol *. (1. +. Sparse_vec.max_abs st.cols.(q)) then begin
       Log.debug (fun f ->
-          f "FTRAN residual %.3g after %d etas: refactorizing" worst st.n_etas);
+          f "FTRAN residual %.3g after %d updates: refactorizing" worst
+            (updates st));
       st.drift_refactorizations <- st.drift_refactorizations + 1;
       refactorize st;
       ftran st q
@@ -702,8 +621,8 @@ let optimize st c ~phase1 ~max_iterations =
       | None -> Optimal
       | Some (q, dir) -> (
           ftran_checked st q;
-          (* The ratio test, bound flips, pivot application and eta
-             extraction all iterate the FTRAN pattern, not all [m] slots. *)
+          (* The ratio test, bound flips and the pivot's primal step all
+             iterate the FTRAN pattern, not all [m] slots. *)
           let w = st.w.values in
           match ratio_test st q dir w with
           | Ray ->
@@ -728,7 +647,7 @@ let optimize st c ~phase1 ~max_iterations =
               clear_bans ();
               loop ()
           | Pivot { slot; t; to_upper } ->
-              if Float.abs w.(slot) < 1e-7 && st.n_etas > 0 then begin
+              if Float.abs w.(slot) < 1e-7 && updates st > 0 then begin
                 (* Numerically dubious pivot: refactorize and retry. *)
                 refactorize st;
                 loop ()
@@ -797,6 +716,29 @@ let infeasibility st j =
   else if x > st.upper.(j) +. st.feas_tol then x -. st.upper.(j)
   else 0.
 
+(* A set of slots: [slots.(0 .. size-1)], with [at.(slot)] the position
+   of [slot] there or -1. *)
+type row_set = { slots : int array; at : int array; mutable size : int }
+
+(* Puts [slot] in [set] when its basic variable is infeasible, else
+   takes it out. *)
+let track set st slot =
+  let inside = set.at.(slot) >= 0 in
+  if infeasibility st st.basis.(slot) > 0. then begin
+    if not inside then begin
+      set.slots.(set.size) <- slot;
+      set.at.(slot) <- set.size;
+      set.size <- set.size + 1
+    end
+  end
+  else if inside then begin
+    let p = set.at.(slot) and last = set.slots.(set.size - 1) in
+    set.slots.(p) <- last;
+    set.at.(last) <- p;
+    set.at.(slot) <- -1;
+    set.size <- set.size - 1
+  end
+
 let primal_feasible st =
   Array.for_all (fun j -> infeasibility st j = 0.) st.basis
 
@@ -824,8 +766,21 @@ let dual_simplex st (rows : Problem.rows) c ~max_iterations =
   let dw = Array.make m 1. in
   let alpha = Array.make st.ntot 0. in
   let mark = Array.make st.ntot (-1) and pattern = Array.make st.ntot 0 in
+  let elig = Array.make st.ntot 0 in  (* pass 1's eligible columns *)
   let count = ref 0 and stamp = ref 0 in
   let priced_at = ref st.refactorizations in
+  (* The infeasible basics, refilled after each refactorization (which
+     recomputes every basic value) and kept current after each pivot in
+     between. *)
+  let rows_set = { slots = Array.make m 0; at = Array.make m (-1); size = 0 } in
+  let fill_rows () =
+    rows_set.size <- 0;
+    Array.fill rows_set.at 0 m (-1);
+    for slot = 0 to m - 1 do
+      track rows_set st slot
+    done
+  in
+  let listed_at = ref (-1) in
   (* Whether nonbasic [j] bounds the dual step, with [a] the pivot row
      entry signed so that the step is positive. *)
   let eligible j a =
@@ -842,15 +797,19 @@ let dual_simplex st (rows : Problem.rows) c ~max_iterations =
         dual_prices st c;
         priced_at := st.refactorizations
       end;
+      if st.refactorizations <> !listed_at then begin
+        fill_rows ();
+        listed_at := st.refactorizations
+      end;
+      (* The largest score, ties to the lowest slot. *)
       let r = ref (-1) and best = ref 0. in
-      for slot = 0 to m - 1 do
+      for i = 0 to rows_set.size - 1 do
+        let slot = rows_set.slots.(i) in
         let inf = infeasibility st st.basis.(slot) in
-        if inf > 0. then begin
-          let score = inf *. inf /. dw.(slot) in
-          if score > !best then begin
-            best := score;
-            r := slot
-          end
+        let score = inf *. inf /. dw.(slot) in
+        if score > !best || (score = !best && slot < !r) then begin
+          best := score;
+          r := slot
         end
       done;
       if !r < 0 then true
@@ -884,22 +843,23 @@ let dual_simplex st (rows : Problem.rows) c ~max_iterations =
           end
         done
     done;
-    let bound = ref infinity in
+    let bound = ref infinity and n_elig = ref 0 in
     for k = 0 to !count - 1 do
       let j = pattern.(k) in
       let a = sign *. alpha.(j) in
       if eligible j a then begin
+        elig.(!n_elig) <- j;
+        incr n_elig;
         let b = (if a > 0. then st.dj.(j) +. tol else st.dj.(j) -. tol) /. a in
         if b < !bound then bound := b
       end
     done;
     if !bound = infinity then raise Dual_failed;
     let q = ref (-1) and q_abs = ref 0. in
-    for k = 0 to !count - 1 do
-      let j = pattern.(k) in
+    for k = 0 to !n_elig - 1 do
+      let j = elig.(k) in
       let a = sign *. alpha.(j) in
-      if eligible j a && st.dj.(j) /. a <= !bound && Float.abs a > !q_abs
-      then begin
+      if st.dj.(j) /. a <= !bound && Float.abs a > !q_abs then begin
         q := j;
         q_abs := Float.abs a
       end
@@ -915,7 +875,7 @@ let dual_simplex st (rows : Problem.rows) c ~max_iterations =
     then begin
       (* The row and the column disagree: refactorize and retry, or give
          up when the factors are already fresh. *)
-      if st.n_etas = 0 then raise Dual_failed;
+      if updates st = 0 then raise Dual_failed;
       refactorize st;
       loop ()
     end
@@ -942,6 +902,11 @@ let dual_simplex st (rows : Problem.rows) c ~max_iterations =
       st.iterations <- st.iterations + 1;
       st.dual_iterations <- st.dual_iterations + 1;
       pivot st q (if step >= 0. then 1. else -1.) w r (Float.abs step) to_upper;
+      (* Only the basics on the FTRAN pattern moved.  A refactorization
+         in [pivot] cleared that pattern; the list is refilled then. *)
+      for k = 0 to st.w.count - 1 do
+        track rows_set st st.w.index.(k)
+      done;
       loop ()
     end
   in
@@ -1024,14 +989,8 @@ let make_state ?(bland_after = 2000) ~feas_tol ~opt_tol ~refactor_interval
     at_upper;
     lu;
     lu_work = Lu.scratch m;
-    etas = Array.make 16 dummy_eta;
-    n_etas = 0;
-    eta_nnz = 0;
+    ft = None;
     lu_fill = Lu.fill_nnz lu;
-    eta_by_slot = Array.make m [||];
-    eta_by_slot_n = Array.make m 0;
-    eta_seen = Array.make 16 0;
-    eta_stamp = 0;
     fin = Lu.vec m;
     w = Lu.vec m;
     bin = Lu.vec m;
@@ -1086,10 +1045,10 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
   let ntot = n + m in
   let factor_reused = ref false in
   (* The factor handed on with the final basis: the state's own LU
-     whenever no eta sits on top of it (a 0-pivot solve, or a
+     whenever no update sits on top of it (a 0-pivot solve, or a
      refactorization as the last step). *)
   let final_factor st =
-    if st.n_etas > 0 then None
+    if updates st > 0 then None
     else
       Some { f_cols = Array.map (fun j -> st.cols.(j)) st.basis; f_lu = st.lu }
   in
@@ -1413,6 +1372,10 @@ let solve_factored ?(max_iterations = 200_000) ?deadline ?(feas_tol = 1e-7)
     let t0 = Obs.Trace.now () in
     let (res, _) as out, start = dispatch () in
     let dur = Obs.Trace.now () -. t0 in
+    (* The work counters mean what {!stats} documents: [ftran_etas] and
+       [btran_etas] count Forrest–Tomlin row etas applied,
+       [growth_refactorizations] the refactorizations forced by the
+       updated factors' fill growth. *)
     Obs.Trace.emit Obs.Trace.Solve ~name:"lp.revised" ~start_s:t0
       ~dur_s:dur
       [

@@ -1,10 +1,10 @@
 (** Revised simplex method with bounded variables.
 
     Solves a {!Problem.t} (minimization over [A x = rhs], [l <= x <= u])
-    using the revised simplex method: the basis inverse is maintained as a
-    sparse {!Lu} factorization refreshed periodically, with product-form eta
-    updates in between.  Infeasible starting bases are handled by an
-    artificial-variable phase 1.
+    using the revised simplex method: the basis is held as a sparse {!Lu}
+    factorization refreshed periodically, with a Forrest–Tomlin update of
+    its factors ({!Lu.Update}) at every pivot in between.  Infeasible
+    starting bases are handled by an artificial-variable phase 1.
 
     Pricing is partial (candidate-list) pricing with Devex-style reference
     weights: between full scans only a small candidate list of nonbasic
@@ -43,20 +43,27 @@ type stats = {
   iterations : int;           (** total simplex pivots (both phases) *)
   phase1_iterations : int;
   refactorizations : int;
+      (** every factorization after the first: the [refactor_interval],
+          drift, growth, a dubious pivot, or an update refused by its
+          stability test *)
   degenerate_pivots : int;
   bound_flips : int;
   drift_refactorizations : int;
       (** refactorizations forced by an FTRAN residual spike (the factorized
           basis no longer reproduces the entering column to tolerance) *)
   growth_refactorizations : int;
-      (** refactorizations forced by eta-file growth outpacing the LU fill *)
+      (** refactorizations forced by the fill growth of the updated
+          factors: U and its row etas grown by more than twice a fresh
+          factorization's nonzeros plus [nrows] *)
   ftran_steps : int;
       (** LU elimination steps processed by the FTRANs of entering
           columns (L and U together; a full sweep counts [2 * nrows]) *)
-  ftran_etas : int;  (** etas those FTRANs applied (nonzero pivot entry) *)
+  ftran_etas : int;
+      (** Forrest–Tomlin row etas those FTRANs applied (the ones that
+          changed a value) *)
   btran_steps : int;
       (** LU steps processed by the BTRANs (pivot rows, duals) *)
-  btran_etas : int;  (** etas those BTRANs visited *)
+  btran_etas : int;  (** row etas those BTRANs applied *)
   lu_nnz : int;  (** LU nonzeros, summed over every factorization *)
   dual_iterations : int;
       (** dual simplex pivots of a warm start (included in [iterations]) *)

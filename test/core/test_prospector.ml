@@ -621,7 +621,7 @@ let test_pinned_iteration_counts () =
     | None -> Alcotest.fail "revised solver did not run"
   in
   Alcotest.(check (list int)) "tight crash: pivots, dual pivots, fallbacks"
-    [ 542; 542; 0 ]
+    [ 544; 544; 0 ]
     [ tight.iterations; tight.dual_iterations; tight.dual_fallbacks ];
   (* Warm re-planning after a 1.05x budget move: from scratch, and warm
      from the first solve's basis, which stays optimal. *)

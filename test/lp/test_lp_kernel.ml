@@ -5,15 +5,28 @@
      pattern is a large share of the dimension).  Both perform the same
      floating-point operations, so on the same numbers they must agree bit
      for bit; a pattern padded with explicit zeros forces the sweep.
+   - A factorization under Forrest–Tomlin column replacements solves
+     like a fresh factorization of the current basis, and its reach and
+     sweep paths agree bit for bit too.
    - Warm re-solves after rhs and bound perturbations, run with a short
-     refactorization interval so the eta file and its slot index are reset
-     many times, must reach the cold solve's certified objective. *)
+     refactorization interval so the updates are folded into a fresh
+     factor many times, must reach the cold solve's certified objective. *)
 
 let bits a = Array.map Int64.bits_of_float a
 
+(* A column with a dominant entry in row [d] and up to three small
+   entries elsewhere. *)
+let random_column rand ~dim d =
+  let sign = if Random.State.bool rand then 1. else -1. in
+  let extra =
+    List.init (Random.State.int rand 4) (fun _ ->
+        (Random.State.int rand dim, Random.State.float rand 2. -. 1.))
+    |> List.filter (fun (r, _) -> r <> d)
+  in
+  Lp.Sparse_vec.of_assoc ((d, sign *. (2. +. Random.State.float rand 2.)) :: extra)
+
 (* A random nonsingular basis of dimension [dim]: a share [slack] of unit
-   columns, the rest with a dominant entry on a permuted diagonal and up to
-   three small off-diagonal entries. *)
+   columns, the rest [random_column]s on a permuted diagonal. *)
 let random_basis rand ~dim ~slack =
   let perm = Array.init dim Fun.id in
   for i = dim - 1 downto 1 do
@@ -25,15 +38,7 @@ let random_basis rand ~dim ~slack =
   Array.init dim (fun j ->
       let d = perm.(j) in
       if Random.State.float rand 1. < slack then Lp.Sparse_vec.of_assoc [ (d, 1.) ]
-      else
-        let sign = if Random.State.bool rand then 1. else -1. in
-        let extra =
-          List.init (Random.State.int rand 4) (fun _ ->
-              (Random.State.int rand dim, Random.State.float rand 2. -. 1.))
-          |> List.filter (fun (r, _) -> r <> d)
-        in
-        Lp.Sparse_vec.of_assoc
-          ((d, sign *. (2. +. Random.State.float rand 2.)) :: extra))
+      else random_column rand ~dim d)
 
 (* [count] random nonzeros in a vector of dimension [dim]. *)
 let sparse_rhs rand ~dim ~count =
@@ -153,6 +158,123 @@ let test_buffers_cleared () =
   Lp.Lu.clear x;
   Alcotest.(check bool) "output cleared" true (zero x)
 
+(* Sequences of [refactor_interval] (128) column replacements, and on the
+   smallest bases of 200, past the room an update layer starts with: after
+   each, FTRAN and BTRAN of sparse right-hand sides through the updated
+   factorization match a fresh factorization of the current basis, and
+   the reach and sweep paths agree bit for bit.  One near-singular
+   replacement per sequence must be refused by the stability test, which
+   leaves the factorization solving the basis it had. *)
+let dense ~dim col =
+  let a = Array.make dim 0. in
+  Lp.Sparse_vec.iter (fun i x -> a.(i) <- x) col;
+  a
+
+let test_update_matches_fresh () =
+  let rand = Random.State.make [| 20060403 |] in
+  let module U = Lp.Lu.Update in
+  let reach_used = ref 0 and cases = ref 0 and refused = ref 0 in
+  let close ~what fresh got =
+    let scale =
+      Array.fold_left (fun acc x -> Float.max acc (Float.abs x)) 1. fresh
+    in
+    Array.iteri
+      (fun i x ->
+        if Float.abs (x -. got.(i)) > 1e-9 *. scale then
+          Alcotest.failf "%s: entry %d is %.17g, fresh factor %.17g" what i
+            got.(i) x)
+      fresh
+  in
+  (* Every solve direction on [b], through [u] against [fresh]. *)
+  let check u fresh ~dim b =
+    List.iter
+      (fun dir ->
+        incr cases;
+        let run ~full =
+          let out = Lp.Lu.vec dim in
+          let steps =
+            (match dir with `F -> U.ftran | `T -> U.btran) u (load ~full b) out
+          in
+          (steps, out.Lp.Lu.values)
+        in
+        let steps, sparse = run ~full:false in
+        let sweep_steps, dense = run ~full:true in
+        Alcotest.(check int) "full pattern sweeps" (2 * dim) sweep_steps;
+        if steps < 2 * dim then incr reach_used;
+        Alcotest.(check (array int64))
+          "updated reach = sweep, bit for bit" (bits dense) (bits sparse);
+        let want =
+          match dir with
+          | `F -> Lp.Lu.solve fresh b
+          | `T -> Lp.Lu.solve_transpose fresh b
+        in
+        close ~what:(match dir with `F -> "ftran" | `T -> "btran") want sparse)
+      [ `F; `T ]
+  in
+  List.iter
+    (fun (dim, slack, sequences, length) ->
+      for _ = 1 to sequences do
+        let cols = random_basis rand ~dim ~slack in
+        let u = U.create (Lp.Lu.factor ~dim cols) in
+        let near_singular_at = 1 + Random.State.int rand length in
+        for step = 1 to length do
+          let slot = Random.State.int rand dim in
+          if step = near_singular_at then begin
+            (* Another slot's column, perturbed by 1e-13: the new diagonal
+               is tiny. *)
+            let other = (slot + 1) mod dim in
+            let a = dense ~dim cols.(other) in
+            let i = Random.State.int rand dim in
+            a.(i) <- a.(i) +. 1e-13;
+            let w = Lp.Lu.vec dim in
+            ignore (U.ftran u (load ~full:false a) w);
+            if U.replace u ~slot ~alpha:w.Lp.Lu.values.(slot) then
+              Alcotest.failf "near-singular replacement accepted (dim %d)" dim;
+            incr refused
+          end
+          else begin
+            (* A column like [random_basis]'s, its dominant entry in the
+               row of the replaced column's largest one, kept only when
+               its FTRAN entry at the slot is not small. *)
+            let d =
+              let best = ref (-1, 0.) in
+              Lp.Sparse_vec.iter
+                (fun i x -> if Float.abs x > snd !best then best := (i, Float.abs x))
+                cols.(slot);
+              fst !best
+            in
+            let rec pick () =
+              let col = random_column rand ~dim d in
+              let w = Lp.Lu.vec dim in
+              ignore
+                (U.ftran u (load ~full:false (dense ~dim col)) w);
+              let alpha = w.Lp.Lu.values.(slot) in
+              let biggest =
+                Array.fold_left (fun m x -> Float.max m (Float.abs x)) 0.
+                  w.Lp.Lu.values
+              in
+              if Float.abs alpha < 0.1 *. biggest then pick () else (col, alpha)
+            in
+            let col, alpha = pick () in
+            if not (U.replace u ~slot ~alpha) then
+              Alcotest.failf "step %d: well-conditioned replacement refused" step;
+            cols.(slot) <- col
+          end;
+          Alcotest.(check int) "updates counted"
+            (step - if step >= near_singular_at then 1 else 0)
+            (U.count u);
+          let fresh = Lp.Lu.factor ~dim cols in
+          for count = 1 to 2 do
+            check u fresh ~dim (sparse_rhs rand ~dim ~count)
+          done
+        done
+      done)
+    [ (60, 0.5, 3, 200); (200, 0.8, 2, 128); (400, 0.95, 2, 128) ];
+  Alcotest.(check int) "one refusal per sequence" 7 !refused;
+  if 2 * !reach_used < !cases then
+    Alcotest.failf "the reach path ran on only %d of %d updated solves"
+      !reach_used !cases
+
 (* A random bounded LP in standard form: [n] structurals in [0, u] and one
    slack per row, rows [A x + s = rhs] with a positive [rhs]. *)
 let random_lp rand ~m ~n =
@@ -228,6 +350,8 @@ let () =
           Alcotest.test_case "reach path = full sweep" `Quick
             test_reach_matches_sweep;
           Alcotest.test_case "work vectors cleared" `Quick test_buffers_cleared;
+          Alcotest.test_case "updated factor = fresh factor" `Quick
+            test_update_matches_fresh;
         ] );
       ( "revised",
         [ Alcotest.test_case "warm = cold across refactorizations" `Quick
